@@ -56,8 +56,8 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _load_poset(path: str, auto_close: bool = True) -> Poset:
@@ -299,7 +299,13 @@ def main(argv: list[str] | None = None) -> int:
             return exc.code
         return 0 if exc.code is None else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early (`ordext enumerate ... | head`); drop the rest quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -3,17 +3,19 @@
 Relations are stored in strict form: reflexive pairs stay implicit, so a
 valid relation is an irreflexive, antisymmetric, transitively closed set
 of ordered pairs over a ground sequence.  The ground keeps its input
-order and doubles as the default tie-break source.  All values are
-immutable after construction and every operation is a pure function of
-its inputs.
+order and doubles as the default tie-break source.  Every algorithm
+reads a relation through successor and predecessor bitmasks indexed by
+ground position, built from pairs only here.  All values are immutable
+after construction and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AntisymmetryViolation,
@@ -56,8 +58,66 @@ def check_ground(tokens: Iterable[str]) -> tuple[str, ...]:
     return seq
 
 
-def _sorted_by_index(pairs: Iterable[Pair], index: dict[str, int]) -> list[Pair]:
-    return sorted(pairs, key=lambda p: (index[p[0]], index[p[1]]))
+def bits(mask: int) -> list[int]:
+    """Set-bit positions of `mask`, ascending; taken top first, so each step works on a shorter int."""
+    out = []
+    while mask:
+        out.append(mask.bit_length() - 1)
+        mask ^= 1 << out[-1]
+    return out[::-1]
+
+
+def _masks(pairs: Iterable[Pair], index: dict[str, int]) -> tuple[list[int], list[int], list[Pair]]:
+    """Successor and predecessor bitmasks of `pairs` over the positions in `index`,
+    plus the pairs a strict relation cannot hold: self-loops and pairs with an
+    endpoint outside `index` (which alone get no bit)."""
+    succ = [0] * len(index)
+    pred = [0] * len(index)
+    stray = []
+    for x, y in pairs:
+        if x in index and y in index:
+            i, j = index[x], index[y]
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+            if i != j:
+                continue
+        stray.append((x, y))
+    return succ, pred, stray
+
+
+def _reject(stray: list[Pair], index: dict[str, int]) -> None:
+    """Raise for the lexicographically first stray pair, if there is one."""
+    if stray:
+        x, y = min(stray)
+        for tok in (x, y):
+            if tok not in index:
+                raise UnknownElement(tok)
+        raise AntisymmetryViolation((x, x))
+
+
+def source_order(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], pick: Callable) -> list[int]:
+    """Positions of `nodes` in source-removal order (Kahn 1962): each step hands `pick` the
+    elements left without a predecessor, in ground order, and removes the one it returns.
+    A result shorter than `nodes` means the masks hold a cycle."""
+    index = {tok: i for i, tok in enumerate(nodes)}
+    indegree = [mask.bit_count() for mask in pred]
+    available = [tok for tok, d in zip(nodes, indegree) if not d]
+    out: list[int] = []
+    while available:
+        chosen = pick(available)
+        available.remove(chosen)
+        i = index[chosen]
+        out.append(i)
+        for j in bits(succ[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                insort(available, nodes[j], key=index.__getitem__)
+    return out
+
+
+def _pairs(nodes: Sequence[str], succ: Sequence[int]) -> list[Pair]:
+    """The pairs the successor masks hold, ordered by ground position."""
+    return [(x, nodes[j]) for x, mask in zip(nodes, succ) for j in bits(mask)]
 
 
 @dataclass(frozen=True)
@@ -66,7 +126,9 @@ class Poset:
 
     Construction verifies every invariant and raises a witness-carrying
     error otherwise; use :func:`validate` to build from raw pairs,
-    optionally closing them first.
+    optionally closing them first.  Construction also sets `succ` and
+    `pred`: for each ground position, the bitmask of the positions
+    strictly above and strictly below it.
     """
 
     ground: tuple[str, ...]
@@ -77,27 +139,21 @@ class Poset:
         object.__setattr__(
             self, "relation", frozenset((x, y) for x, y in self.relation)
         )
-        members = set(self.ground)
-        for x, y in sorted(self.relation):
-            if x not in members:
-                raise UnknownElement(x)
-            if y not in members:
-                raise UnknownElement(y)
-            if x == y:
-                raise AntisymmetryViolation((x, x))
-        idx = {tok: i for i, tok in enumerate(self.ground)}
-        ordered = _sorted_by_index(self.relation, idx)
-        for x, y in ordered:
-            if (y, x) in self.relation:
-                raise AntisymmetryViolation((x, y, x))
-        succ: dict[str, list[str]] = {tok: [] for tok in self.ground}
-        for x, y in ordered:
-            succ[x].append(y)
-        for x in self.ground:
-            for y in succ[x]:
-                for z in succ[y]:
-                    if (x, z) not in self.relation:
-                        raise NotClosed((x, y, z))
+        g = self.ground
+        succ, pred, stray = _masks(self.relation, self.ground_index)
+        _reject(stray, self.ground_index)
+        for i, mask in enumerate(succ):
+            both = mask & pred[i]
+            if both:
+                raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
+        for i, mask in enumerate(succ):
+            outside = ~mask
+            for j in bits(mask):
+                missing = succ[j] & outside
+                if missing:
+                    raise NotClosed((g[i], g[j], g[bits(missing)[0]]))
+        object.__setattr__(self, "succ", tuple(succ))
+        object.__setattr__(self, "pred", tuple(pred))
 
     @cached_property
     def ground_index(self) -> dict[str, int]:
@@ -111,7 +167,7 @@ class Poset:
 
     def sorted_pairs(self) -> list[Pair]:
         """Relation pairs ordered by ground position; the canonical serialization order."""
-        return _sorted_by_index(self.relation, self.ground_index)
+        return _pairs(self.ground, self.succ)
 
 
 @dataclass(frozen=True)
@@ -157,64 +213,40 @@ class LinearOrder:
         return len(self.sequence)
 
 
-def _closure_or_cycle(
-    pairs: Iterable[Pair], node_order: tuple[str, ...]
-) -> tuple[set[Pair] | None, list[str] | None]:
-    """Reachability closure, or a shortest witness cycle when one exists.
-
-    Neighbor lists follow `node_order`, so the reported cycle is the same
-    on every run.
-    """
-    index = {tok: i for i, tok in enumerate(node_order)}
-    succ: dict[str, list[str]] = {tok: [] for tok in node_order}
-    for x, y in _sorted_by_index(set(pairs), index):
-        succ[x].append(y)
-
-    closed: set[Pair] = set()
-    cyclic = False
-    for start in node_order:
-        reached: set[str] = set()
-        queue = deque(succ[start])
-        while queue:
-            node = queue.popleft()
-            if node in reached:
-                continue
-            reached.add(node)
-            queue.extend(succ[node])
-        if start in reached:
-            cyclic = True
-            break
-        for node in reached:
-            closed.add((start, node))
-    if not cyclic:
-        return closed, None
-
-    best: list[str] | None = None
-    for start in node_order:
-        dist = {start: 0}
-        parent: dict[str, str] = {}
-        queue = deque([start])
-        hit: str | None = None
-        while queue and hit is None:
-            node = queue.popleft()
-            for nxt in succ[node]:
-                if nxt == start:
-                    hit = node
-                    break
-                if nxt not in dist:
-                    dist[nxt] = dist[node] + 1
+def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[int]) -> list[str]:
+    """A shortest cycle x, ..., x of masks that hold one: breadth-first search
+    from each start in turn, neighbours by position, first shortest kept."""
+    best: list[int] | None = None
+    for start in starts:
+        parent = {start: start}
+        queue = [start]
+        for node in queue:
+            if succ[node] >> start & 1:
+                back = []
+                while node != start:
+                    back.append(node)
+                    node = parent[node]
+                if best is None or len(back) + 2 < len(best):
+                    best = [start, *reversed(back), start]
+                break
+            for nxt in bits(succ[node]):
+                if nxt not in parent:
                     parent[nxt] = node
                     queue.append(nxt)
-        if hit is None:
-            continue
-        path = [hit]
-        while path[-1] != start:
-            path.append(parent[path[-1]])
-        path.reverse()
-        path.append(start)
-        if best is None or len(path) < len(best):
-            best = path
-    return None, best
+    return [nodes[i] for i in best]
+
+
+def _closure(nodes: Sequence[str], succ: list[int], pred: list[int]) -> list[Pair] | None:
+    """Pairs of the reachability closure in ground order, or None on a cycle; walking a
+    topological order backwards, a node reaches its successors and all they reach."""
+    order = source_order(nodes, succ, pred, itemgetter(0))
+    if len(order) < len(nodes):
+        return None
+    reach = list(succ)
+    for i in reversed(order):
+        for j in bits(succ[i]):
+            reach[i] |= reach[j]
+    return _pairs(nodes, reach)
 
 
 def transitive_closure(
@@ -226,16 +258,20 @@ def transitive_closure(
     cycle, naming a shortest one.  `node_order` fixes which witness gets
     reported; it defaults to lexicographic token order.
     """
-    plist = []
-    for x, y in pairs:
-        plist.append((check_token(x), check_token(y)))
-    if node_order is not None:
-        nodes = tuple(node_order)
-    else:
-        nodes = tuple(sorted({tok for pair in plist for tok in pair}))
-    closed, cycle = _closure_or_cycle(plist, nodes)
-    if cycle is not None:
-        raise ClosureCreatesReflexivePair(cycle)
+    plist = [(check_token(x), check_token(y)) for x, y in pairs]
+    if node_order is None:
+        node_order = sorted({tok for pair in plist for tok in pair})
+    node_order = tuple(node_order)
+    # A repeated node takes its last position, which orders its neighbours.
+    last = {tok: i for i, tok in enumerate(node_order)}
+    nodes = sorted(last, key=last.__getitem__)
+    index = {tok: i for i, tok in enumerate(nodes)}
+    succ, pred, stray = _masks(plist, index)
+    # Self-loops are cycles here, reported like any other.
+    _reject([p for p in stray if p[0] not in index or p[1] not in index], index)
+    closed = _closure(nodes, succ, pred)
+    if closed is None:
+        raise ClosureCreatesReflexivePair(_shortest_cycle(nodes, succ, map(index.get, node_order)))
     return frozenset(closed)
 
 
@@ -251,37 +287,26 @@ def validate(
     missing pair's triple.
     """
     seq = check_ground(ground)
-    members = set(seq)
-    plist = []
-    for x, y in pairs:
-        plist.append((check_token(x), check_token(y)))
-    for x, y in sorted(set(plist)):
-        if x not in members:
-            raise UnknownElement(x)
-        if y not in members:
-            raise UnknownElement(y)
-        if x == y:
-            raise AntisymmetryViolation((x, x))
-    relation: frozenset[Pair] = frozenset(plist)
+    plist = [(check_token(x), check_token(y)) for x, y in pairs]
     if auto_close:
-        closed, cycle = _closure_or_cycle(relation, seq)
-        if cycle is not None:
-            raise AntisymmetryViolation(cycle)
-        relation = frozenset(closed)
-    return Poset(seq, relation)
+        index = {tok: i for i, tok in enumerate(seq)}
+        succ, pred, stray = _masks(plist, index)
+        _reject(stray, index)
+        plist = _closure(seq, succ, pred)
+        if plist is None:
+            raise AntisymmetryViolation(_shortest_cycle(seq, succ, range(len(seq))))
+    return Poset(seq, frozenset(plist))
 
 
 def restrict(poset: Poset, subset: Iterable[str]) -> Poset:
     """Sub-poset on `subset`: the relation intersected with subset x subset.
 
-    Restriction of a closed relation is closed, so the result is built
-    directly and re-verified.
+    Restriction of a closed relation is closed; the result is verified
+    like any other poset.
     """
     sub = check_ground(subset)
-    members = set(poset.ground)
     for tok in sub:
-        if tok not in members:
-            raise UnknownElement(tok)
+        poset.index(tok)
     keep = set(sub)
     rel = frozenset(p for p in poset.relation if p[0] in keep and p[1] in keep)
     return Poset(sub, rel)
@@ -298,9 +323,8 @@ def order_from_enumeration(sequence: Iterable[str]) -> LinearOrder:
 
 def is_comparable(poset: Poset, x: str, y: str) -> bool:
     """True when x equals y or the relation orders them one way."""
-    poset.index(x)
-    poset.index(y)
-    return x == y or (x, y) in poset.relation or (y, x) in poset.relation
+    i, j = poset.index(x), poset.index(y)
+    return x == y or bool((poset.succ[i] | poset.pred[i]) >> j & 1)
 
 
 def incomparable_pairs(poset: Poset) -> list[Pair]:
@@ -308,12 +332,10 @@ def incomparable_pairs(poset: Poset) -> list[Pair]:
 
     Empty exactly when the poset is already total.
     """
-    out = []
     g = poset.ground
-    rel = poset.relation
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            x, y = g[i], g[j]
-            if (x, y) not in rel and (y, x) not in rel:
-                out.append((x, y))
-    return out
+    full = (1 << len(g)) - 1
+    return [
+        (x, g[j])
+        for i, x in enumerate(g)
+        for j in bits(full & ~((2 << i) - 1) & ~(poset.succ[i] | poset.pred[i]))
+    ]

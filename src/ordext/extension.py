@@ -10,11 +10,10 @@ downset-counting dynamic program, exist to cross-examine the fast path.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import LinearOrder, Pair, Poset, check_token
+from .core import LinearOrder, Pair, Poset, bits, check_token, source_order
 from .errors import CapExceeded, NotIncomparable
 from .policy import TieBreakPolicy
 
@@ -90,20 +89,16 @@ def extend_with_pair(poset: Poset, pair: ForcedPair) -> Poset:
     changes.
     """
     a, b = pair.first, pair.second
-    poset.index(a)
-    poset.index(b)
-    rel = poset.relation
-    if (a, b) in rel:
-        raise NotIncomparable(a, b, held=(a, b))
-    if (b, a) in rel:
-        raise NotIncomparable(a, b, held=(b, a))
-    below = {a} | {x for x, y in rel if y == a}
-    above = {b} | {y for x, y in rel if x == b}
-    extended = set(rel)
-    for x in below:
-        for y in above:
-            extended.add((x, y))
-    return Poset(poset.ground, frozenset(extended))
+    i, j = poset.index(a), poset.index(b)
+    for held in ((a, b), (b, a)):
+        if held in poset.relation:
+            raise NotIncomparable(a, b, held=held)
+    g = poset.ground
+    above = [g[y] for y in bits(poset.succ[j] | 1 << j)]
+    extended = set(poset.relation)
+    for x in bits(poset.pred[i] | 1 << i):
+        extended.update((g[x], y) for y in above)
+    return Poset(g, frozenset(extended))
 
 
 def linear_extension(
@@ -113,29 +108,13 @@ def linear_extension(
 
     At each step the elements with no remaining predecessors form the
     candidate set, held in ground order; `policy` picks which one leaves
-    next.  A valid poset is acyclic, so the loop always exhausts the
-    ground.  Output is a pure function of (poset, policy).
+    next.  The loop is :func:`core.source_order`, which the closure uses
+    too.  Output is a pure function of (poset, policy).
     """
     if policy is None:
         policy = TieBreakPolicy.input_order()
-    breaker = policy.start()
-    gi = poset.ground_index
-    indegree = {tok: 0 for tok in poset.ground}
-    successors: dict[str, list[str]] = {tok: [] for tok in poset.ground}
-    for x, y in poset.sorted_pairs():
-        indegree[y] += 1
-        successors[x].append(y)
-    available = [tok for tok in poset.ground if indegree[tok] == 0]
-    out: list[str] = []
-    while available:
-        chosen = breaker.pick(available)
-        available.remove(chosen)
-        out.append(chosen)
-        for y in successors[chosen]:
-            indegree[y] -= 1
-            if indegree[y] == 0:
-                insort(available, y, key=gi.__getitem__)
-    return LinearOrder(tuple(out))
+    order = source_order(poset.ground, poset.succ, poset.pred, policy.start().pick)
+    return LinearOrder(tuple(poset.ground[i] for i in order))
 
 
 def szpilrajn(
@@ -170,14 +149,10 @@ def enumerate_linear_extensions(
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     n = len(poset.ground)
-    gi = poset.ground_index
-    preds: list[int] = [0] * n
-    for x, y in poset.relation:
-        preds[gi[y]] |= 1 << gi[x]
+    preds = poset.pred
 
     found: list[LinearOrder] = []
     prefix: list[str] = []
-    truncated = False
 
     def walk(placed: int) -> bool:
         # Returns True when the limit cut the walk short.
@@ -205,19 +180,16 @@ def count_linear_extensions(poset: Poset, cap: int | None = None) -> int:
     """Exact extension count by dynamic programming over downsets.
 
     State space is the predecessor-closed subsets of the ground, one
-    bitmask each, so memory grows with the downset count; `cap` bounds
-    the ground size (default 20).  Always equals the untruncated
-    enumeration length, which the tests enforce.
+    bitmask each, grown through the poset's `pred` masks, so memory grows
+    with the downset count; `cap` bounds the ground size (default 20).
+    Always equals the untruncated enumeration length (tests enforce it).
     """
     if cap is None:
         cap = DEFAULT_COUNT_CAP
     n = len(poset.ground)
     if n > cap:
         raise CapExceeded(n, cap)
-    gi = poset.ground_index
-    preds: list[int] = [0] * n
-    for x, y in poset.relation:
-        preds[gi[y]] |= 1 << gi[x]
+    preds = poset.pred
 
     current: dict[int, int] = {0: 1}
     for _ in range(n):
@@ -230,6 +202,4 @@ def count_linear_extensions(poset: Poset, cap: int | None = None) -> int:
                 grown = mask | bit
                 nxt[grown] = nxt.get(grown, 0) + ways
         current = nxt
-    if n == 0:
-        return 1
     return current.get((1 << n) - 1, 0)

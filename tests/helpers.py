@@ -11,8 +11,10 @@ import random
 from ordext import Poset, TieBreakPolicy, validate
 
 
-def random_poset(rng: random.Random, n: int, density: float | None = None) -> Poset:
-    """A random poset on n elements with a shuffled ground sequence.
+def random_pairs(
+    rng: random.Random, n: int, density: float | None = None
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """A shuffled ground sequence of n elements and raw acyclic pairs over it.
 
     Edges are drawn over a hidden topological order, which keeps the
     input acyclic; the ground sequence is shuffled independently so the
@@ -29,7 +31,12 @@ def random_poset(rng: random.Random, n: int, density: float | None = None) -> Po
                 pairs.append((topo[i], topo[j]))
     ground = [f"e{i}" for i in range(n)]
     rng.shuffle(ground)
-    return validate(ground, pairs, auto_close=True)
+    return ground, pairs
+
+
+def random_poset(rng: random.Random, n: int, density: float | None = None) -> Poset:
+    """A random poset on n elements: the closure of :func:`random_pairs`."""
+    return validate(*random_pairs(rng, n, density), auto_close=True)
 
 
 def random_policy(rng: random.Random) -> TieBreakPolicy:

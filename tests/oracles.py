@@ -4,7 +4,8 @@ Each oracle takes a different route than the library: closure by
 repeated relational composition instead of reachability search,
 extension enumeration by filtering whole permutations instead of
 backtracking, density by a full double loop instead of consecutive-gap
-checks.  Agreement between the routes is what the property tests assert.
+checks, incomparable pairs and order-axiom witnesses by scanning pairs
+and triples of the pair set instead of bitmasks.  Agreement between the routes is what the property tests assert.
 """
 
 from __future__ import annotations
@@ -67,6 +68,36 @@ def strict_order_axioms_hold(ground, rel) -> bool:
                 if (x, y) in rel and (y, z) in rel and (x, z) not in rel:
                     return False
     return True
+
+
+def incomparable_by_double_loop(poset: Poset) -> list[tuple[str, str]]:
+    """Unordered incomparable pairs, the earlier ground element first."""
+    g, rel = poset.ground, poset.relation
+    return [
+        (g[i], g[j])
+        for i in range(len(g))
+        for j in range(i + 1, len(g))
+        if (g[i], g[j]) not in rel and (g[j], g[i]) not in rel
+    ]
+
+
+def first_two_cycle(ground, rel):
+    """First (x, y, x) with x < y and y < x both in rel, x then y by ground index."""
+    for x in ground:
+        for y in ground:
+            if x != y and (x, y) in rel and (y, x) in rel:
+                return (x, y, x)
+    return None
+
+
+def first_unclosed_triple(ground, rel):
+    """First (x, y, z) by ground index with x < y and y < z in rel but not x < z."""
+    for x in ground:
+        for y in ground:
+            for z in ground:
+                if (x, y) in rel and (y, z) in rel and (x, z) not in rel:
+                    return (x, y, z)
+    return None
 
 
 def is_total(ground, rel) -> bool:

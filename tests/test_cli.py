@@ -1,5 +1,8 @@
 """Command-line behavior: outputs, exit codes, flag handling."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ordext.cli import main
@@ -57,6 +60,14 @@ class TestValidate:
         code, _, err = run("validate", "nope.txt")
         assert code == 2
         assert "cannot read" in err
+
+    def test_non_utf8_file(self, run, tmp_path):
+        target = tmp_path / "latin.txt"
+        target.write_bytes(b"a < b\n\xff\xfe < c\n")
+        code, out, err = run("validate", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {target}:")
+        assert err.count("\n") == 1
 
     def test_malformed_file(self, run):
         code, _, err = run("validate", "r", files={"r": "a <\n"})
@@ -172,6 +183,23 @@ class TestEnumerate:
         )
         assert code == 0
         assert len(out.splitlines()) == 6
+
+    def test_reader_closing_the_pipe_is_quiet(self, tmp_path):
+        # 40320 orders, far more than a pipe buffers, so writes fail after the close.
+        target = tmp_path / "anti8.txt"
+        target.write_text("".join(f"a{i}\n" for i in range(8)) + "---\n", encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ordext", "enumerate", str(target)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"a0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err
+        assert err == b""
 
     def test_bad_env_value(self, run, monkeypatch):
         monkeypatch.setenv("ORDEXT_ENUM_LIMIT", "many")

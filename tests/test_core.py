@@ -23,8 +23,14 @@ from ordext import (
     validate,
 )
 
-from helpers import antichain, chain, diamond, random_poset
-from oracles import closure_fixpoint, strict_order_axioms_hold
+from helpers import antichain, chain, diamond, random_pairs, random_poset
+from oracles import (
+    closure_fixpoint,
+    first_two_cycle,
+    first_unclosed_triple,
+    incomparable_by_double_loop,
+    strict_order_axioms_hold,
+)
 
 
 class TestTokens:
@@ -294,6 +300,48 @@ class TestComparability:
             for i, x in enumerate(poset.ground):
                 for y in poset.ground[i + 1 :]:
                     assert ((x, y) in listed) == (not is_comparable(poset, x, y))
+
+
+class TestAgainstOraclesAtSize:
+    """Seeded cross-checks of the bitmask paths at up to 40 elements."""
+
+    def test_auto_close_and_closure_match_fixpoint(self):
+        rng = random.Random(40)
+        for _ in range(100):
+            ground, pairs = random_pairs(rng, rng.randrange(10, 41), rng.random() * 0.15)
+            want = closure_fixpoint(pairs)
+            assert set(validate(ground, pairs, auto_close=True).relation) == want
+            assert set(transitive_closure(pairs, ground)) == want
+
+    def test_incomparable_pairs_match_double_loop(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            poset = random_poset(rng, rng.randrange(10, 41), rng.random() * 0.15)
+            assert incomparable_pairs(poset) == incomparable_by_double_loop(poset)
+
+    def test_poset_raises_the_brute_force_witness(self):
+        rng = random.Random(42)
+        seen = {AntisymmetryViolation: 0, NotClosed: 0}
+        while sum(seen.values()) < 2000:
+            ground, pairs = random_pairs(rng, rng.randrange(2, 11))
+            rel = closure_fixpoint(pairs) if rng.random() < 0.5 else set(pairs)
+            for x, y in rng.sample(sorted(rel), min(len(rel), rng.choice((0, 0, 0, 1, 4)))):
+                rel.add((y, x))
+            if rel and rng.random() < 0.5:
+                rel.discard(rng.choice(sorted(rel)))
+            cycle = first_two_cycle(ground, rel)
+            triple = first_unclosed_triple(ground, rel)
+            if cycle is None and triple is None:
+                continue
+            expected = AntisymmetryViolation if cycle else NotClosed
+            with pytest.raises(expected) as info:
+                Poset(tuple(ground), frozenset(rel))
+            if cycle:
+                assert info.value.cycle == cycle
+            else:
+                assert info.value.triple == triple
+            seen[expected] += 1
+        assert min(seen.values()) > 500
 
 
 class TestLinearOrderType:

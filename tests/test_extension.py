@@ -91,6 +91,32 @@ class TestExtendWithPair:
             )
 
 
+class TestAgainstOraclesAtSize:
+    """Seeded cross-checks of the bitmask paths at up to 40 elements."""
+
+    def test_extend_with_pair_matches_fixpoint(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            poset = random_poset(rng, rng.randrange(10, 41), rng.random() * 0.15)
+            free = incomparable_pairs(poset)
+            if not free:
+                continue
+            a, b = free[rng.randrange(len(free))]
+            if rng.random() < 0.5:
+                a, b = b, a
+            out = extend_with_pair(poset, ForcedPair(a, b))
+            assert set(out.relation) == closure_fixpoint(set(poset.relation) | {(a, b)})
+
+    def test_linear_extension_contains_relation(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            poset = random_poset(rng, rng.randrange(10, 41))
+            for policy in POLICIES:
+                order = linear_extension(poset, policy)
+                assert sorted(order.sequence) == sorted(poset.ground)
+                assert order.contains(poset.relation)
+
+
 class TestLinearExtension:
     def test_chain_is_rigid(self):
         poset = validate(("a", "b", "c"), [("a", "b"), ("b", "c")], auto_close=True)
