@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from .constructions import bipartition_order, dense_interleave, is_dense, partition_block_order
 from .core import (
-    LinearOrder,
     Poset,
     incomparable_pairs,
     is_comparable,
@@ -35,8 +35,8 @@ from .extension import (
     DEFAULT_COUNT_CAP,
     DEFAULT_ENUM_LIMIT,
     ForcedPair,
+    _extensions,
     count_linear_extensions,
-    enumerate_linear_extensions,
     linear_extension,
     szpilrajn,
 )
@@ -60,9 +60,9 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _load_poset(path: str, auto_close: bool = True) -> Poset:
+def _load_poset(path: str) -> Poset:
     ground, pairs = parse_relation(_read(path), path)
-    return validate(ground, pairs, auto_close=auto_close)
+    return validate(ground, pairs, auto_close=True)
 
 
 def _policy_arg(text: str) -> TieBreakPolicy:
@@ -82,11 +82,11 @@ def _nonnegative_arg(text: str) -> int:
     return value
 
 
-def _emit_order(order: LinearOrder, mode: str) -> None:
+def _emit(sequence: tuple[str, ...], mode: str) -> None:
     if mode == "machine":
-        sys.stdout.write("\t".join(order.sequence) + "\n")
+        sys.stdout.write("\t".join(sequence) + "\n")
     else:
-        for token in order.sequence:
+        for token in sequence:
             sys.stdout.write(token + "\n")
 
 
@@ -109,7 +109,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 def cmd_linearize(args: argparse.Namespace) -> int:
     order = linear_extension(_load_poset(args.relation), args.tie_break)
-    _emit_order(order, args.output)
+    _emit(order.sequence, args.output)
     return 0
 
 
@@ -117,7 +117,7 @@ def cmd_szpilrajn(args: argparse.Namespace) -> int:
     poset = _load_poset(args.relation)
     forced = ForcedPair(*args.force) if args.force else None
     certificate = szpilrajn(poset, forced, args.tie_break)
-    _emit_order(certificate.output_order, args.output)
+    _emit(certificate.output_order.sequence, args.output)
     return 0
 
 
@@ -125,32 +125,29 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     poset = _load_poset(args.relation)
     limit = args.limit
     if limit is None:
-        raw = os.environ.get(ENV_ENUM_LIMIT)
-        if raw is None:
-            limit = DEFAULT_ENUM_LIMIT
-        else:
-            try:
-                limit = int(raw, 10)
-            except ValueError:
-                raise ParseError(
-                    f"{ENV_ENUM_LIMIT} is not an integer: {raw!r}"
-                ) from None
-            if limit < 0:
-                raise ParseError(f"{ENV_ENUM_LIMIT} must be nonnegative: {raw}")
-    result = enumerate_linear_extensions(poset, limit)
-    for i, order in enumerate(result.orders):
+        raw = os.environ.get(ENV_ENUM_LIMIT, str(DEFAULT_ENUM_LIMIT))
+        try:
+            limit = int(raw, 10)
+        except ValueError:
+            raise ParseError(
+                f"{ENV_ENUM_LIMIT} is not an integer: {raw!r}"
+            ) from None
+        if limit < 0:
+            raise ParseError(f"{ENV_ENUM_LIMIT} must be nonnegative: {raw}")
+    # The same walk as enumerate_linear_extensions, written out as it goes.
+    walk = _extensions(poset)
+    for i, sequence in enumerate(islice(walk, limit)):
         if i and args.output == "human":
             sys.stdout.write("\n")
-        _emit_order(order, args.output)
-    if result.truncated:
-        sys.stderr.write(f"note: enumeration truncated at limit {result.limit}\n")
+        _emit(sequence, args.output)
+    if next(walk, None) is not None:
+        sys.stderr.write(f"note: enumeration truncated at limit {limit}\n")
     return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     poset = _load_poset(args.relation)
-    cap = args.cap if args.cap is not None else DEFAULT_COUNT_CAP
-    sys.stdout.write(f"{count_linear_extensions(poset, cap)}\n")
+    sys.stdout.write(f"{count_linear_extensions(poset, args.cap)}\n")
     return 0
 
 
@@ -174,7 +171,7 @@ def cmd_bipartition(args: argparse.Namespace) -> int:
     first = parse_sequence(_read(args.a), args.a)
     second = parse_sequence(_read(args.b), args.b)
     order = bipartition_order(ground, first, second, args.tie_break)
-    _emit_order(order, args.output)
+    _emit(order.sequence, args.output)
     return 0
 
 
@@ -182,7 +179,7 @@ def cmd_blocks(args: argparse.Namespace) -> int:
     ground = parse_sequence(_read(args.ground), args.ground)
     partition = parse_partition(_read(args.partition), args.partition)
     order = partition_block_order(ground, partition, args.tie_break)
-    _emit_order(order, args.output)
+    _emit(order.sequence, args.output)
     return 0
 
 
@@ -191,7 +188,7 @@ def cmd_interleave(args: argparse.Namespace) -> int:
     xs = parse_sequence(_read(args.x), args.x)
     phi = parse_bijection(_read(args.phi), args.phi)
     order = dense_interleave(ys, xs, phi, args.tie_break)
-    _emit_order(order, args.output)
+    _emit(order.sequence, args.output)
     return 0
 
 
@@ -306,12 +303,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader left early (`ordext enumerate ... | head`); drop the rest quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ParseError as exc:
+    except (ParseError, OrderError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OrderError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

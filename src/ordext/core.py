@@ -35,7 +35,7 @@ def check_token(token: object) -> str:
         raise InvalidToken(token, "not a string")
     if token == "":
         raise InvalidToken(token, "empty")
-    if any(ch.isspace() for ch in token):
+    if token.split() != [token]:
         raise InvalidToken(token, "contains whitespace")
     if "<" in token:
         raise InvalidToken(token, "contains '<'")
@@ -86,8 +86,12 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int]) -> tuple[list[int], lis
 
 
 def _reject(stray: list[Pair], index: dict[str, int]) -> None:
-    """Raise for the lexicographically first stray pair, if there is one."""
+    """Raise for the non-string token with the least repr, else for the
+    lexicographically first stray pair, if there is one."""
     if stray:
+        odd = [tok for pair in stray for tok in pair if not isinstance(tok, str)]
+        if odd:
+            raise InvalidToken(min(odd, key=repr), "not a string")
         x, y = min(stray)
         for tok in (x, y):
             if tok not in index:
@@ -204,10 +208,7 @@ class LinearOrder:
 
     def contains(self, pairs: Iterable[Pair]) -> bool:
         """True when every given pair runs forward in this order."""
-        for x, y in pairs:
-            if self.position(x) >= self.position(y):
-                return False
-        return True
+        return all(self.position(x) < self.position(y) for x, y in pairs)
 
     def __len__(self) -> int:
         return len(self.sequence)

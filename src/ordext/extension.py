@@ -4,13 +4,15 @@ The pipeline keeps its two stages separate.  `extend_with_pair` adds one
 incomparable pair and closes minimally; `linear_extension` removes
 sources one at a time with a tie-break policy deciding among candidates;
 `szpilrajn` chains the two and returns a certificate a caller can
-re-check.  Two independent oracles, exhaustive enumeration and a
-downset-counting dynamic program, exist to cross-examine the fast path.
+re-check.  Enumeration tries every such removal order with one iterative
+walk, and a downset-counting dynamic program counts them; both
+cross-examine the fast path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator
 
 from .core import LinearOrder, Pair, Poset, bits, check_token, source_order
@@ -51,14 +53,11 @@ class ExtensionCertificate:
 
     def verify(self) -> bool:
         pos = self.output_order.positions
-        for x, y in self.input_relation:
-            if x not in pos or y not in pos or pos[x] >= pos[y]:
-                return False
-        if self.forced is not None:
-            f, s = self.forced.first, self.forced.second
-            if f not in pos or s not in pos or pos[f] >= pos[s]:
-                return False
-        return True
+        forced = () if self.forced is None else ((self.forced.first, self.forced.second),)
+        return all(
+            x in pos and y in pos and pos[x] < pos[y]
+            for x, y in chain(self.input_relation, forced)
+        )
 
 
 @dataclass(frozen=True)
@@ -135,45 +134,54 @@ def szpilrajn(
     )
 
 
+def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
+    """Token tuples of all linear extensions, lexicographic by ground position.
+
+    The prefix of placed positions is the only stack.  It grows by the
+    first position i that is unplaced with every predecessor placed,
+    `placed & down[i] == pred[i]`; to backtrack, pop the last position k
+    and resume the scan at k + 1.  Each order is found when it is asked
+    for, in O(n) memory and with no depth limit.
+    """
+    g, pred = poset.ground, poset.pred
+    n = len(g)
+    down = [mask | 1 << i for i, mask in enumerate(pred)]
+    prefix: list[int] = []
+    placed = 0
+    i = 0
+    while True:
+        if len(prefix) == n:
+            yield tuple([g[k] for k in prefix])
+            i = n
+        while i < n and placed & down[i] != pred[i]:
+            i += 1
+        if i < n:
+            prefix.append(i)
+            placed |= 1 << i
+            i = 0
+        elif prefix:
+            i = prefix.pop()
+            placed ^= 1 << i
+            i += 1
+        else:
+            return
+
+
 def enumerate_linear_extensions(
     poset: Poset, limit: int | None = None
 ) -> Enumeration:
-    """All linear extensions, lexicographic by ground position.
+    """The first `limit` linear extensions, lexicographic by ground position.
 
-    Backtracking over minimal-element choices, candidates tried in
-    ground order, which makes the output order canonical.  Stops after
-    `limit` orders and flags truncation when more exist.
+    Slices :func:`_extensions`, the walk the CLI streams, at `limit`
+    (default 10^6); `truncated` says whether one more order exists.
     """
     if limit is None:
         limit = DEFAULT_ENUM_LIMIT
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    n = len(poset.ground)
-    preds = poset.pred
-
-    found: list[LinearOrder] = []
-    prefix: list[str] = []
-
-    def walk(placed: int) -> bool:
-        # Returns True when the limit cut the walk short.
-        if len(prefix) == n:
-            if len(found) == limit:
-                return True
-            found.append(LinearOrder(tuple(prefix)))
-            return False
-        for i in range(n):
-            bit = 1 << i
-            if placed & bit or (preds[i] & placed) != preds[i]:
-                continue
-            prefix.append(poset.ground[i])
-            cut = walk(placed | bit)
-            prefix.pop()
-            if cut:
-                return True
-        return False
-
-    truncated = walk(0)
-    return Enumeration(orders=tuple(found), truncated=truncated, limit=limit)
+    walk = _extensions(poset)
+    orders = tuple(map(LinearOrder, islice(walk, limit)))
+    return Enumeration(orders=orders, truncated=next(walk, None) is not None, limit=limit)
 
 
 def count_linear_extensions(poset: Poset, cap: int | None = None) -> int:

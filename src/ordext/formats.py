@@ -17,6 +17,8 @@ library's business and surfaces as a domain error (exit 1).
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .constructions import Bijection, Partition
 from .core import Pair, Poset, check_token
 from .errors import InvalidToken, ParseError
@@ -32,14 +34,19 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _checked(tokens, path: str | None, lineno: int) -> tuple[str, ...]:
+    """`tokens` checked in order; the first bad one is a parse error at `lineno`."""
+    try:
+        return tuple(map(check_token, tokens))
+    except InvalidToken as exc:
+        raise ParseError(str(exc), path, lineno) from None
+
+
 def _one_token(line: str, path: str | None, lineno: int) -> str:
     fields = line.split()
     if len(fields) != 1:
         raise ParseError("expected one element per line", path, lineno)
-    try:
-        return check_token(fields[0])
-    except InvalidToken as exc:
-        raise ParseError(str(exc), path, lineno) from None
+    return _checked(fields, path, lineno)[0]
 
 
 def _pair(line: str, path: str | None, lineno: int) -> Pair:
@@ -48,10 +55,7 @@ def _pair(line: str, path: str | None, lineno: int) -> Pair:
     left, _, right = line.partition("<")
     if "<" in right:
         raise ParseError("more than one '<' on the line", path, lineno)
-    try:
-        return check_token(left.strip()), check_token(right.strip())
-    except InvalidToken as exc:
-        raise ParseError(str(exc), path, lineno) from None
+    return _checked((left.strip(), right.strip()), path, lineno)
 
 
 def parse_relation(
@@ -75,20 +79,13 @@ def parse_relation(
     else:
         header, body = [], lines
 
-    ground: list[str] = []
-    seen: set[str] = set()
-    for lineno, line in header:
-        tok = _one_token(line, path, lineno)
-        ground.append(tok)
-        seen.add(tok)
-    pairs: list[Pair] = []
-    for lineno, line in body:
-        x, y = _pair(line, path, lineno)
-        pairs.append((x, y))
-        for tok in (x, y):
-            if tok not in seen:
-                ground.append(tok)
-                seen.add(tok)
+    ground = [_one_token(line, path, lineno) for lineno, line in header]
+    pairs = [_pair(line, path, lineno) for lineno, line in body]
+    seen = set(ground)
+    for tok in chain.from_iterable(pairs):
+        if tok not in seen:
+            ground.append(tok)
+            seen.add(tok)
     return tuple(ground), pairs
 
 
@@ -130,10 +127,7 @@ def parse_bijection(text: str, path: str | None = None) -> Bijection:
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
             raise ParseError("expected a mapping written as 'y -> x'", path, lineno)
-        try:
-            pairs.append((check_token(fields[0]), check_token(fields[2])))
-        except InvalidToken as exc:
-            raise ParseError(str(exc), path, lineno) from None
+        pairs.append(_checked((fields[0], fields[2]), path, lineno))
     return Bijection(tuple(pairs))
 
 

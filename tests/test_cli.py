@@ -201,6 +201,18 @@ class TestEnumerate:
         assert b"Traceback" not in err
         assert err == b""
 
+    def test_long_chain_with_limit_one(self, tmp_path):
+        target = tmp_path / "chain1500.txt"
+        target.write_text("".join(f"c{i} < c{i + 1}\n" for i in range(1499)), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordext", "enumerate", "--limit", "1", "--output", "machine", str(target)],
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr
+        assert proc.stdout == "\t".join(f"c{i}" for i in range(1500)).encode() + b"\n"
+
     def test_bad_env_value(self, run, monkeypatch):
         monkeypatch.setenv("ORDEXT_ENUM_LIMIT", "many")
         code, _, err = run("enumerate", "r", files={"r": ANTICHAIN3})

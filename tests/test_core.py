@@ -45,6 +45,16 @@ class TestTokens:
         with pytest.raises(InvalidToken):
             check_token(token)
 
+    def test_whitespace_verdict_matches_isspace_for_every_code_point(self):
+        for code in range(0x110000):
+            ch = chr(code)
+            try:
+                check_token("a" + ch)
+                reason = None
+            except InvalidToken as exc:
+                reason = exc.reason
+            assert (reason == "contains whitespace") == ch.isspace(), hex(code)
+
     def test_ground_rejects_duplicates(self):
         with pytest.raises(DuplicateElement) as info:
             check_ground(("a", "b", "a"))
@@ -128,6 +138,16 @@ class TestValidate:
 
 
 class TestPosetType:
+    @pytest.mark.parametrize(
+        "rel, token",
+        [({(3, "a"), ("b", "a")}, 3), ({(None, "a"), ("a", 7), (3, "b")}, 3), ({("a", None)}, None)],
+    )
+    def test_non_string_relation_token_is_invalid(self, rel, token):
+        # Reported by least repr, so the witness does not depend on set order.
+        with pytest.raises(InvalidToken) as info:
+            Poset(("a",), frozenset(rel))
+        assert (info.value.token, info.value.reason) == (token, "not a string")
+
     def test_direct_construction_checks_closure(self):
         with pytest.raises(NotClosed):
             Poset(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))

@@ -21,6 +21,7 @@ from ordext import (
     transitive_closure,
     validate,
 )
+from ordext.extension import _extensions
 
 from helpers import antichain, chain, diamond, random_policy, random_poset
 from oracles import closure_fixpoint, extensions_by_filter, is_total, strict_order_axioms_hold
@@ -303,6 +304,31 @@ class TestEnumerate:
             poset = random_poset(rng, rng.randrange(0, 7))
             got = {o.sequence for o in enumerate_linear_extensions(poset)}
             assert got == extensions_by_filter(poset)
+
+    def test_limits_around_the_count_match_the_oracle(self):
+        rng = random.Random(38)
+        for n in [*range(10), *(rng.randrange(3, 8) for _ in range(20))]:
+            poset = random_poset(rng, n)
+            gi = poset.ground_index
+            want = sorted(extensions_by_filter(poset), key=lambda seq: [gi[t] for t in seq])
+            for limit in (len(want) - 1, len(want), len(want) + 1):
+                result = enumerate_linear_extensions(poset, limit)
+                assert [o.sequence for o in result] == want[:limit]
+                assert result.truncated == (limit < len(want))
+
+    def test_long_chain_needs_no_recursion(self):
+        poset = chain(1500)
+        result = enumerate_linear_extensions(poset, limit=1)
+        assert [o.sequence for o in result] == [poset.ground]
+        assert not result.truncated
+
+    def test_first_order_arrives_without_the_rest(self):
+        # 30! orders: only a walk that stops when asked can return.
+        poset = antichain(30)
+        assert next(_extensions(poset)) == poset.ground
+        result = enumerate_linear_extensions(poset, limit=2)
+        assert [o.sequence[-2:] for o in result] == [("a28", "a29"), ("a29", "a28")]
+        assert result.truncated
 
 
 class TestCount:
