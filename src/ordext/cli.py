@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--tie-break",
             type=_policy_arg,
-            default=TieBreakPolicy.input_order(),
+            default=None,
             metavar="input|lex|seed:<u64>",
             help="how free choices are resolved (default: input order)",
         )

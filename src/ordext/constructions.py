@@ -2,9 +2,11 @@
 
 Each construction returns a plain :class:`LinearOrder` decided entirely
 by its inputs and a tie-break policy.  Subset inputs are sets: segments
-are normalized to ground order before the policy arranges them, so the
-line order of a subset file never leaks into the output.  The density
-predicate asks a betweenness question about one existing order.
+are normalized to ground order, then :func:`policy._layout` starts one
+breaker and arranges them in output order, its stream running on from
+one segment into the next, so the line order of a subset file never
+leaks into the output.  The density predicate asks a betweenness
+question about one existing order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     NotDisjoint,
     UnknownElement,
 )
-from .policy import TieBreakPolicy
+from .policy import TieBreakPolicy, _layout
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,10 @@ class Partition:
         for i, block in enumerate(self.blocks, start=1):
             if not block:
                 raise EmptyBlock(i)
-            seen: set[str] = set()
             for tok in block:
                 check_token(tok)
-                if tok in seen:
+                if owner.get(tok) == i:
                     raise DuplicateElement(tok)
-                seen.add(tok)
                 if tok in owner:
                     raise NotDisjoint(tok, f"blocks {owner[tok]} and {i}")
                 owner[tok] = i
@@ -96,6 +96,14 @@ class Bijection:
             raise UnknownElement(token) from None
 
 
+def _in_ground_order(seq: tuple[str, ...], ground_index: dict[str, int]) -> list[str]:
+    """Checked tokens sorted by ground position; the first one outside the ground is unknown."""
+    for tok in seq:
+        if tok not in ground_index:
+            raise UnknownElement(tok)
+    return sorted(seq, key=ground_index.__getitem__)
+
+
 def _subset_in_ground_order(
     name: str, tokens: Iterable[str], ground_index: dict[str, int]
 ) -> list[str]:
@@ -103,10 +111,7 @@ def _subset_in_ground_order(
     seq = check_ground(tokens)
     if not seq:
         raise EmptySubset(name)
-    for tok in seq:
-        if tok not in ground_index:
-            raise UnknownElement(tok)
-    return sorted(seq, key=ground_index.__getitem__)
+    return _in_ground_order(seq, ground_index)
 
 
 def bipartition_order(
@@ -121,8 +126,6 @@ def bipartition_order(
     segments are arranged one after another by a single tie-breaker, A's
     segment first, so a seeded policy spends its stream in a fixed order.
     """
-    if policy is None:
-        policy = TieBreakPolicy.input_order()
     seq = check_ground(ground)
     gi = {tok: i for i, tok in enumerate(seq)}
     a_seg = _subset_in_ground_order("A", a, gi)
@@ -133,9 +136,7 @@ def bipartition_order(
             raise NotDisjoint(tok, "A and B")
     taken = set(a_seg) | b_set
     middle = [tok for tok in seq if tok not in taken]
-    breaker = policy.start()
-    out = breaker.arrange(a_seg) + breaker.arrange(middle) + breaker.arrange(b_seg)
-    return LinearOrder(tuple(out))
+    return LinearOrder(_layout(policy, (a_seg, middle, b_seg)))
 
 
 def partition_block_order(
@@ -150,22 +151,12 @@ def partition_block_order(
     leftover) the policy arranges the members from a ground-order base,
     all segments sharing one tie-breaker, first block first.
     """
-    if policy is None:
-        policy = TieBreakPolicy.input_order()
     seq = check_ground(ground)
     gi = {tok: i for i, tok in enumerate(seq)}
-    for block in partition.blocks:
-        for tok in block:
-            if tok not in gi:
-                raise UnknownElement(tok)
+    blocks = [_in_ground_order(block, gi) for block in partition.blocks]
     placed = partition.members()
     leftover = [tok for tok in seq if tok not in placed]
-    breaker = policy.start()
-    out: list[str] = []
-    for block in partition.blocks:
-        out.extend(breaker.arrange(sorted(block, key=gi.__getitem__)))
-    out.extend(breaker.arrange(leftover))
-    return LinearOrder(tuple(out))
+    return LinearOrder(_layout(policy, blocks + [leftover]))
 
 
 def dense_interleave(
@@ -181,8 +172,6 @@ def dense_interleave(
     element lies strictly between any two Y elements.  Y and X must be
     disjoint and phi must map Y onto X one-one.
     """
-    if policy is None:
-        policy = TieBreakPolicy.input_order()
     ys = check_ground(y_seq)
     xs = check_ground(x_seq)
     x_set = set(xs)
@@ -203,12 +192,7 @@ def dense_interleave(
     for y in ys:
         if y not in mapping:
             raise NotBijective(f"no image for {y!r}", y)
-    breaker = policy.start()
-    out: list[str] = []
-    for y in breaker.arrange(list(ys)):
-        out.append(y)
-        out.append(mapping[y])
-    return LinearOrder(tuple(out))
+    return LinearOrder(tuple(tok for y in _layout(policy, [ys]) for tok in (y, mapping[y])))
 
 
 def is_dense(
@@ -226,13 +210,6 @@ def is_dense(
     """
     p1 = sorted(order.position(tok) for tok in check_ground(t1))
     p2 = sorted(order.position(tok) for tok in check_ground(t2))
-    for left, right in zip(p2, p2[1:]):
-        if strict:
-            i = bisect_right(p1, left)
-            if i == len(p1) or p1[i] >= right:
-                return False
-        else:
-            i = bisect_left(p1, left)
-            if i == len(p1) or p1[i] > right:
-                return False
-    return True
+    # hi(p1, right) - lo(p1, left) counts the T1 positions in the gap, open when strict.
+    lo, hi = (bisect_right, bisect_left) if strict else (bisect_left, bisect_right)
+    return all(lo(p1, left) < hi(p1, right) for left, right in zip(p2, p2[1:]))

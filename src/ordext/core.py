@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -200,11 +201,7 @@ class LinearOrder:
     @cached_property
     def induced_pairs(self) -> frozenset[Pair]:
         """All forward pairs (s_i, s_j) with i < j; the strict relation this order carries."""
-        seq = self.sequence
-        n = len(seq)
-        return frozenset(
-            (seq[i], seq[j]) for i in range(n) for j in range(i + 1, n)
-        )
+        return frozenset(combinations(self.sequence, 2))
 
     def contains(self, pairs: Iterable[Pair]) -> bool:
         """True when every given pair runs forward in this order."""

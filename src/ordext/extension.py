@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .core import LinearOrder, Pair, Poset, bits, check_token, source_order
 from .errors import CapExceeded, NotIncomparable
-from .policy import TieBreakPolicy
+from .policy import TieBreakPolicy, _breaker
 
 DEFAULT_ENUM_LIMIT = 10**6
 
@@ -110,9 +110,7 @@ def linear_extension(
     next.  The loop is :func:`core.source_order`, which the closure uses
     too.  Output is a pure function of (poset, policy).
     """
-    if policy is None:
-        policy = TieBreakPolicy.input_order()
-    order = source_order(poset.ground, poset.succ, poset.pred, policy.start().pick)
+    order = source_order(poset.ground, poset.succ, poset.pred, _breaker(policy).pick)
     return LinearOrder(tuple(poset.ground[i] for i in order))
 
 
@@ -197,17 +195,16 @@ def count_linear_extensions(poset: Poset, cap: int | None = None) -> int:
     n = len(poset.ground)
     if n > cap:
         raise CapExceeded(n, cap)
-    preds = poset.pred
+    pred = poset.pred
+    down = [mask | 1 << i for i, mask in enumerate(pred)]
 
     current: dict[int, int] = {0: 1}
     for _ in range(n):
         nxt: dict[int, int] = {}
         for mask, ways in current.items():
             for i in range(n):
-                bit = 1 << i
-                if mask & bit or (preds[i] & mask) != preds[i]:
-                    continue
-                grown = mask | bit
-                nxt[grown] = nxt.get(grown, 0) + ways
+                if mask & down[i] == pred[i]:
+                    grown = mask | 1 << i
+                    nxt[grown] = nxt.get(grown, 0) + ways
         current = nxt
     return current.get((1 << n) - 1, 0)

@@ -107,15 +107,13 @@ def parse_partition(text: str, path: str | None = None) -> Partition:
     lines = _meaningful_lines(text)
     blocks: list[tuple[str, ...]] = []
     current: list[str] = []
-    saw_separator = False
     for lineno, line in lines:
         if line == "---":
-            saw_separator = True
             blocks.append(tuple(current))
             current = []
         else:
             current.append(_one_token(line, path, lineno))
-    if saw_separator or current:
+    if lines:
         blocks.append(tuple(current))
     return Partition(tuple(blocks))
 

@@ -19,11 +19,17 @@ state advances by 0x9E3779B97F4A7C15 per draw and is finalized with the
 standard two-round xor-shift-multiply mix (0xBF58476D1CE4E5B9 then
 0x94D049BB133111EB, final shift 31); shuffle draw i uses
 ``next() % (i + 1)``, walking i from the last index down to 1.
+
+One operation run spends one stream: :func:`_breaker`, the one place a
+breaker starts, reads ``policy=None`` as input order, and :func:`_layout`
+arranges an operation's segments in turn with that breaker, empty ones
+included, each segment's draws following the previous segment's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,3 +136,13 @@ class TieBreaker:
     def pick(self, items) -> str:
         """First element of the arranged candidate list."""
         return self.arrange(items)[0]
+
+
+def _breaker(policy: TieBreakPolicy | None) -> TieBreaker:
+    """The breaker of one operation run; no policy means input order."""
+    return (TieBreakPolicy.input_order() if policy is None else policy).start()
+
+
+def _layout(policy: TieBreakPolicy | None, segments) -> tuple[str, ...]:
+    """Each segment arranged in turn by one breaker, concatenated."""
+    return tuple(chain.from_iterable(map(_breaker(policy).arrange, segments)))

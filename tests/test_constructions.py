@@ -46,6 +46,16 @@ class TestPartitionType:
         with pytest.raises(DuplicateElement):
             Partition((("a", "a"),))
 
+    def test_first_offending_token_decides_the_error(self):
+        # Tokens are checked in order: an overlap met first wins over a
+        # later duplicate, and a duplicate met first wins over a later overlap.
+        with pytest.raises(NotDisjoint) as info:
+            Partition((("x",), ("y", "x", "y")))
+        assert info.value.token == "x"
+        with pytest.raises(DuplicateElement) as info:
+            Partition((("x",), ("y", "y", "x")))
+        assert info.value.token == "y"
+
 
 class TestBijectionType:
     def test_lookup(self):
@@ -119,6 +129,30 @@ class TestBipartition:
         policy = TieBreakPolicy.seeded(5)
         args = (("1", "2", "3", "4", "5"), ("1", "2"), ("4", "5"))
         assert bipartition_order(*args, policy) == bipartition_order(*args, policy)
+
+    def test_equals_block_order_of_a_middle_b(self):
+        # With a nonempty middle, A | middle | B is a partition whose
+        # leftover is empty, so both constructions lay out the same
+        # segments with one breaker and must agree under every policy.
+        rng = random.Random(42)
+        for _ in range(2000):
+            n = rng.randrange(3, 14)
+            ground = [f"g{i}" for i in range(n)]
+            rng.shuffle(ground)
+            picks = rng.sample(ground, rng.randrange(2, n))
+            cut = rng.randrange(1, len(picks))
+            a, b = picks[:cut], picks[cut:]
+            middle = tuple(t for t in ground if t not in picks)
+            rng.shuffle(a)
+            blocks = Partition((tuple(a), middle, tuple(b)))
+            for policy in (
+                TieBreakPolicy.input_order(),
+                TieBreakPolicy.lexicographic(),
+                TieBreakPolicy.seeded(rng.getrandbits(64)),
+            ):
+                assert bipartition_order(ground, a, b, policy) == partition_block_order(
+                    ground, blocks, policy
+                )
 
 
 class TestBlockOrder:

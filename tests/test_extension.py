@@ -1,6 +1,7 @@
 """Extension pipeline and its two oracles."""
 
 import random
+from math import factorial, prod
 
 import pytest
 
@@ -25,6 +26,38 @@ from ordext.extension import _extensions
 
 from helpers import antichain, chain, diamond, random_policy, random_poset
 from oracles import closure_fixpoint, extensions_by_filter, is_total, strict_order_axioms_hold
+
+def disjoint_chain_lengths(rng, n, max_downsets=4000):
+    """Random chain lengths summing to n with at most `max_downsets` downsets."""
+    while True:
+        longest = rng.randrange(1, n + 1)
+        lengths = []
+        while sum(lengths) < n:
+            lengths.append(rng.randrange(1, min(longest, n - sum(lengths)) + 1))
+        if prod(length + 1 for length in lengths) <= max_downsets:
+            return lengths
+
+
+def disjoint_chains(lengths):
+    ground, pairs = [], []
+    for c, length in enumerate(lengths):
+        links = [f"c{c}_{i}" for i in range(length)]
+        ground.extend(links)
+        pairs.extend(zip(links, links[1:]))
+    return validate(ground, pairs, auto_close=True)
+
+
+def ordinal_sum(parts):
+    """The parts stacked in order: every element of a part below every later one."""
+    ground, pairs = [], []
+    for k, part in enumerate(parts):
+        names = [f"p{k}_{tok}" for tok in part.ground]
+        rename = dict(zip(part.ground, names))
+        pairs.extend((rename[x], rename[y]) for x, y in part.relation)
+        pairs.extend((x, y) for x in ground for y in names)
+        ground.extend(names)
+    return validate(ground, pairs)
+
 
 POLICIES = (
     TieBreakPolicy.input_order(),
@@ -353,6 +386,25 @@ class TestCount:
 
     def test_cap_override(self):
         assert count_linear_extensions(chain(21), cap=25) == 1
+
+    def test_disjoint_chains_count_the_multinomial(self):
+        # Interleavings of chains of lengths l_i: n! / prod(l_i!).  Chains
+        # of lengths l_i have prod(l_i + 1) downsets, kept to a few thousand.
+        rng = random.Random(38)
+        for n in range(1, 21):
+            for _ in range(3):
+                lengths = disjoint_chain_lengths(rng, n)
+                want = factorial(n)
+                for length in lengths:
+                    want //= factorial(length)
+                assert count_linear_extensions(disjoint_chains(lengths)) == want
+
+    def test_ordinal_sum_counts_the_product(self):
+        rng = random.Random(39)
+        for _ in range(40):
+            parts = [random_poset(rng, rng.randrange(0, 7)) for _ in range(rng.randrange(1, 4))]
+            want = prod(len(extensions_by_filter(part)) for part in parts)
+            assert count_linear_extensions(ordinal_sum(parts)) == want
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(37)

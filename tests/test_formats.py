@@ -111,6 +111,14 @@ class TestParsePartition:
     def test_empty_file_is_empty_partition(self):
         assert parse_partition("").blocks == ()
 
+    def test_comment_only_file_is_empty_partition(self):
+        assert parse_partition("# blocks\n\n  # none yet\n").blocks == ()
+
+    def test_lone_separator_makes_empty_first_block(self):
+        with pytest.raises(EmptyBlock) as info:
+            parse_partition("---\n")
+        assert info.value.index == 1
+
     def test_trailing_separator_makes_empty_block(self):
         with pytest.raises(EmptyBlock) as info:
             parse_partition("a\n---\n")

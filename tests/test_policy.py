@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ordext import TieBreakPolicy
-from ordext.policy import _MASK64, _SplitMix64
+from ordext.policy import _MASK64, _SplitMix64, _breaker, _layout
 
 
 def reference_stream(seed, count):
@@ -137,3 +137,16 @@ class TestArrange:
         items = ["c", "a", "b"]
         TieBreakPolicy.seeded(3).start().arrange(items)
         assert items == ["c", "a", "b"]
+
+
+class TestLayout:
+    def test_no_policy_is_input_order(self):
+        assert _breaker(None).policy == TieBreakPolicy.input_order()
+        assert _layout(None, (["c", "a"], [], ["b"])) == ("c", "a", "b")
+
+    def test_segments_share_one_stream_in_order(self):
+        segments = (list("abcd"), [], list("efg"), list("hij"))
+        breaker = TieBreakPolicy.seeded(42).start()
+        want = tuple(tok for segment in segments for tok in breaker.arrange(segment))
+        assert _layout(TieBreakPolicy.seeded(42), segments) == want
+        assert _layout(TieBreakPolicy.seeded(42), segments[2:]) != want[4:]
