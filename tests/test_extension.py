@@ -4,6 +4,7 @@ import random
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordext import (
     CapExceeded,
@@ -25,7 +26,13 @@ from ordext import (
 from ordext.extension import _extensions
 
 from helpers import antichain, chain, diamond, random_policy, random_poset
-from oracles import closure_fixpoint, extensions_by_filter, is_total, strict_order_axioms_hold
+from oracles import (
+    closure_fixpoint,
+    count_by_downsets,
+    extensions_by_filter,
+    is_total,
+    strict_order_axioms_hold,
+)
 
 def disjoint_chain_lengths(rng, n, max_downsets=4000):
     """Random chain lengths summing to n with at most `max_downsets` downsets."""
@@ -57,6 +64,37 @@ def ordinal_sum(parts):
         pairs.extend((x, y) for x in ground for y in names)
         ground.extend(names)
     return validate(ground, pairs)
+
+
+@st.composite
+def composed_pairs(draw, size):
+    """Pairs over range(size): a random relation, or a disjoint union or
+    ordinal sum of two smaller composed relations, lower labels first."""
+    kind = draw(st.sampled_from(("random", "union", "sum"))) if size > 1 else "random"
+    if kind == "random":
+        topo = draw(st.permutations(range(size)))
+        return {
+            (topo[i], topo[j])
+            for i in range(size)
+            for j in range(i + 1, size)
+            if draw(st.booleans())
+        }
+    left = draw(st.integers(1, size - 1))
+    lower = draw(composed_pairs(left))
+    upper = {(x + left, y + left) for x, y in draw(composed_pairs(size - left))}
+    across = set() if kind == "union" else {(x, y) for x in range(left) for y in range(left, size)}
+    return lower | upper | across
+
+
+@st.composite
+def composed_posets(draw, max_size):
+    """A closed composed relation whose labels land at shuffled ground positions,
+    so a component's members are scattered across the ground."""
+    size = draw(st.integers(0, max_size))
+    pairs = draw(composed_pairs(size))
+    ground = [f"e{i}" for i in range(size)]
+    name = draw(st.permutations(ground))
+    return validate(ground, [(name[x], name[y]) for x, y in pairs], auto_close=True)
 
 
 POLICIES = (
@@ -386,6 +424,29 @@ class TestCount:
 
     def test_cap_override(self):
         assert count_linear_extensions(chain(21), cap=25) == 1
+
+    def test_antichain_at_the_default_cap(self):
+        assert count_linear_extensions(antichain(20)) == factorial(20)
+
+    def test_ten_disjoint_two_chains(self):
+        assert count_linear_extensions(disjoint_chains([2] * 10)) == factorial(20) // 2**10
+
+    def test_dp_states_are_bounded_per_component(self):
+        # 2^60 downsets of the whole ground; 60 one-element components.
+        assert count_linear_extensions(antichain(60), cap=60) == factorial(60)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(composed_posets(max_size=14))
+    def test_composed_posets_match_the_whole_ground_dp(self, poset):
+        assert count_linear_extensions(poset) == count_by_downsets(poset)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(composed_posets(max_size=8))
+    def test_composed_posets_match_both_enumerations(self, poset):
+        got = count_linear_extensions(poset)
+        assert got == count_by_downsets(poset)
+        assert got == len(extensions_by_filter(poset))
+        assert got == len(enumerate_linear_extensions(poset))
 
     def test_disjoint_chains_count_the_multinomial(self):
         # Interleavings of chains of lengths l_i: n! / prod(l_i!).  Chains
