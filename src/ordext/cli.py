@@ -136,7 +136,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ParseError(f"{ENV_ENUM_LIMIT} must be nonnegative: {raw}")
     # The same walk as enumerate_linear_extensions, written out as it goes.
     walk = _extensions(poset)
-    for i, sequence in enumerate(islice(walk, limit)):
+    for i, sequence in enumerate(islice(walk, min(limit, sys.maxsize))):
         if i and args.output == "human":
             sys.stdout.write("\n")
         _emit(sequence, args.output)
@@ -292,9 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        return 0 if exc.code is None else 2
+        return exc.code
     try:
         code = args.func(args)
         sys.stdout.flush()

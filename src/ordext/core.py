@@ -5,8 +5,9 @@ valid relation is an irreflexive, antisymmetric, transitively closed set
 of ordered pairs over a ground sequence.  The ground keeps its input
 order and doubles as the default tie-break source.  Every algorithm
 reads a relation through successor and predecessor bitmasks indexed by
-ground position, built from pairs only here.  All values are immutable
-after construction and every operation is a pure function of its inputs.
+ground position, verified when `Poset` builds them from pairs and closed
+by construction in `_close`.  All values are immutable after
+construction and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -120,18 +121,13 @@ def source_order(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int],
     return out
 
 
-def _pairs(nodes: Sequence[str], succ: Sequence[int]) -> list[Pair]:
-    """The pairs the successor masks hold, ordered by ground position."""
-    return [(x, nodes[j]) for x, mask in zip(nodes, succ) for j in bits(mask)]
-
-
 @dataclass(frozen=True)
 class Poset:
     """A ground sequence plus a strict, antisymmetric, transitively closed relation.
 
-    Construction verifies every invariant and raises a witness-carrying
-    error otherwise; use :func:`validate` to build from raw pairs,
-    optionally closing them first.  Construction also sets `succ` and
+    `Poset(ground, relation)` verifies every invariant and raises a
+    witness-carrying error otherwise; use :func:`validate` to build from
+    raw pairs, optionally closing them first.  Every poset has `succ` and
     `pred`: for each ground position, the bitmask of the positions
     strictly above and strictly below it.
     """
@@ -172,7 +168,7 @@ class Poset:
 
     def sorted_pairs(self) -> list[Pair]:
         """Relation pairs ordered by ground position; the canonical serialization order."""
-        return _pairs(self.ground, self.succ)
+        return [(x, self.ground[j]) for x, mask in zip(self.ground, self.succ) for j in bits(mask)]
 
 
 @dataclass(frozen=True)
@@ -234,17 +230,21 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[
     return [nodes[i] for i in best]
 
 
-def _closure(nodes: Sequence[str], succ: list[int], pred: list[int]) -> list[Pair] | None:
-    """Pairs of the reachability closure in ground order, or None on a cycle; walking a
-    topological order backwards, a node reaches its successors and all they reach."""
+def _close(nodes: Sequence[str], succ: list[int], pred: list[int]) -> Poset | None:
+    """The poset of the reachability closure, or None on a cycle, found before any mask changes;
+    `succ` and its transpose `pred` are closed in place along one topological order."""
     order = source_order(nodes, succ, pred, itemgetter(0))
     if len(order) < len(nodes):
         return None
-    reach = list(succ)
-    for i in reversed(order):
-        for j in bits(succ[i]):
-            reach[i] |= reach[j]
-    return _pairs(nodes, reach)
+    # Backwards a node reaches its successors and all they reach; forwards, its predecessors'.
+    for masks, walk in ((succ, order[::-1]), (pred, order)):
+        for i in walk:
+            for j in bits(masks[i]):
+                masks[i] |= masks[j]
+    poset = object.__new__(Poset)
+    vars(poset).update(ground=tuple(nodes), succ=tuple(succ), pred=tuple(pred))
+    vars(poset)["relation"] = frozenset(poset.sorted_pairs())
+    return poset
 
 
 def transitive_closure(
@@ -267,10 +267,10 @@ def transitive_closure(
     succ, pred, stray = _masks(plist, index)
     # Self-loops are cycles here, reported like any other.
     _reject([p for p in stray if p[0] not in index or p[1] not in index], index)
-    closed = _closure(nodes, succ, pred)
+    closed = _close(nodes, succ, pred)
     if closed is None:
         raise ClosureCreatesReflexivePair(_shortest_cycle(nodes, succ, map(index.get, node_order)))
-    return frozenset(closed)
+    return closed.relation
 
 
 def validate(
@@ -286,14 +286,15 @@ def validate(
     """
     seq = check_ground(ground)
     plist = [(check_token(x), check_token(y)) for x, y in pairs]
-    if auto_close:
-        index = {tok: i for i, tok in enumerate(seq)}
-        succ, pred, stray = _masks(plist, index)
-        _reject(stray, index)
-        plist = _closure(seq, succ, pred)
-        if plist is None:
-            raise AntisymmetryViolation(_shortest_cycle(seq, succ, range(len(seq))))
-    return Poset(seq, frozenset(plist))
+    if not auto_close:
+        return Poset(seq, frozenset(plist))
+    index = {tok: i for i, tok in enumerate(seq)}
+    succ, pred, stray = _masks(plist, index)
+    _reject(stray, index)
+    closed = _close(seq, succ, pred)
+    if closed is None:
+        raise AntisymmetryViolation(_shortest_cycle(seq, succ, range(len(seq))))
+    return closed
 
 
 def restrict(poset: Poset, subset: Iterable[str]) -> Poset:

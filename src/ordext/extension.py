@@ -1,22 +1,23 @@
 """Order extension: adjoin one forced pair, then linearize.
 
 The pipeline keeps its two stages separate.  `extend_with_pair` adds one
-incomparable pair and closes minimally; `linear_extension` removes
-sources one at a time with a tie-break policy deciding among candidates;
-`szpilrajn` chains the two and returns a certificate a caller can
-re-check.  Enumeration tries every such removal order with one iterative
-walk, and a downset-counting dynamic program counts them one
-comparability component at a time; both cross-examine the fast path.
+incomparable pair and re-closes with `core._close`; `linear_extension`
+removes sources one at a time with a tie-break policy deciding among
+candidates; `szpilrajn` chains the two and returns a certificate a
+caller can re-check.  Enumeration tries every such removal order with
+one iterative walk, and a downset-counting dynamic program counts them
+one comparability component at a time; both cross-examine the fast path.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import comb
 from typing import Iterator
 
-from .core import LinearOrder, Pair, Poset, bits, check_token, source_order
+from .core import LinearOrder, Pair, Poset, _close, bits, check_token, source_order
 from .errors import CapExceeded, NotIncomparable
 from .policy import TieBreakPolicy, _breaker
 
@@ -81,7 +82,7 @@ class Enumeration:
 
 
 def extend_with_pair(poset: Poset, pair: ForcedPair) -> Poset:
-    """Adjoin one incomparable pair and close minimally.
+    """Adjoin one incomparable pair to the closed masks and close them again.
 
     The result's relation is exactly the transitive closure of
     relation ∪ {(first, second)}: every element at or below `first`
@@ -90,15 +91,13 @@ def extend_with_pair(poset: Poset, pair: ForcedPair) -> Poset:
     """
     a, b = pair.first, pair.second
     i, j = poset.index(a), poset.index(b)
-    for held in ((a, b), (b, a)):
-        if held in poset.relation:
-            raise NotIncomparable(a, b, held=held)
-    g = poset.ground
-    above = [g[y] for y in bits(poset.succ[j] | 1 << j)]
-    extended = set(poset.relation)
-    for x in bits(poset.pred[i] | 1 << i):
-        extended.update((g[x], y) for y in above)
-    return Poset(g, frozenset(extended))
+    for x, y in ((i, j), (j, i)):
+        if poset.succ[x] >> y & 1:
+            raise NotIncomparable(a, b, held=(poset.ground[x], poset.ground[y]))
+    succ, pred = list(poset.succ), list(poset.pred)
+    succ[i] |= 1 << j
+    pred[j] |= 1 << i
+    return _close(poset.ground, succ, pred)
 
 
 def linear_extension(
@@ -172,14 +171,15 @@ def enumerate_linear_extensions(
     """The first `limit` linear extensions, lexicographic by ground position.
 
     Slices :func:`_extensions`, the walk the CLI streams, at `limit`
-    (default 10^6); `truncated` says whether one more order exists.
+    (default 10^6); `truncated` says whether one more order exists.  No
+    walk reaches `sys.maxsize` orders, so a larger limit takes them all.
     """
     if limit is None:
         limit = DEFAULT_ENUM_LIMIT
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     walk = _extensions(poset)
-    orders = tuple(map(LinearOrder, islice(walk, limit)))
+    orders = tuple(map(LinearOrder, islice(walk, min(limit, sys.maxsize))))
     return Enumeration(orders=orders, truncated=next(walk, None) is not None, limit=limit)
 
 

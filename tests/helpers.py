@@ -1,4 +1,5 @@
-"""Deterministic random instance generators shared by the test modules.
+"""Deterministic random instance generators shared by the test modules,
+plus the check that a poset matches its verified twin.
 
 Everything is driven by a caller-supplied `random.Random`, so a fixed
 seed reproduces the exact same instances.
@@ -37,6 +38,15 @@ def random_pairs(
 def random_poset(rng: random.Random, n: int, density: float | None = None) -> Poset:
     """A random poset on n elements: the closure of :func:`random_pairs`."""
     return validate(*random_pairs(rng, n, density), auto_close=True)
+
+
+def assert_matches_verified(poset: Poset) -> None:
+    """`poset` equals, hashes like, and holds the same masks as `Poset(ground, relation)`,
+    which rebuilds the masks from the pairs and verifies every axiom."""
+    verified = Poset(poset.ground, poset.relation)
+    assert poset == verified
+    assert hash(poset) == hash(verified)
+    assert (poset.succ, poset.pred) == (verified.succ, verified.pred)
 
 
 def random_policy(rng: random.Random) -> TieBreakPolicy:

@@ -166,6 +166,24 @@ class TestEnumerate:
         assert out == "a\tb\tc\na\tc\tb\n"
         assert "truncated at limit 2" in err
 
+    def test_limit_flag_past_maxsize_is_no_limit(self, run):
+        code, out, err = run(
+            "enumerate", "--output", "machine", "--limit", "99999999999999999999999", "r",
+            files={"r": ANTICHAIN3},
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        assert err == ""
+
+    def test_env_limit_past_maxsize_is_no_limit(self, run, monkeypatch):
+        monkeypatch.setenv("ORDEXT_ENUM_LIMIT", "99999999999999999999999")
+        code, out, err = run(
+            "enumerate", "--output", "machine", "r", files={"r": ANTICHAIN3}
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        assert err == ""
+
     def test_env_limit(self, run, monkeypatch):
         monkeypatch.setenv("ORDEXT_ENUM_LIMIT", "1")
         code, out, err = run(

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordext import (
     AntisymmetryViolation,
@@ -23,7 +24,7 @@ from ordext import (
     validate,
 )
 
-from helpers import antichain, chain, diamond, random_pairs, random_poset
+from helpers import antichain, assert_matches_verified, chain, diamond, random_pairs, random_poset
 from oracles import (
     closure_fixpoint,
     first_two_cycle,
@@ -119,6 +120,11 @@ class TestValidate:
         assert set(cycle) == {"a", "b", "c"}
         assert len(cycle) == 4
 
+    def test_auto_close_self_loops_name_the_least_pair(self):
+        with pytest.raises(AntisymmetryViolation) as info:
+            validate(("b", "a"), [("a", "a"), ("b", "b")], auto_close=True)
+        assert info.value.cycle == ("a", "a")
+
     def test_witness_is_stable_across_calls(self):
         def grab():
             with pytest.raises(NotClosed) as info:
@@ -212,6 +218,17 @@ class TestClosure:
     def test_bad_token(self):
         with pytest.raises(InvalidToken):
             transitive_closure([("a", "x<y")])
+
+    def test_node_order_picks_the_cycle_witness(self):
+        # Starts follow node_order, repeats included; the first shortest cycle wins.
+        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")]
+        for node_order, cycle in (
+            (("e", "a", "b", "c", "d", "e"), ("e", "d", "e")),
+            (("a", "b", "c", "d", "e"), ("d", "e", "d")),
+        ):
+            with pytest.raises(ClosureCreatesReflexivePair) as info:
+                transitive_closure(pairs, node_order=node_order)
+            assert info.value.cycle == cycle
 
 
 class TestRestrict:
@@ -362,6 +379,21 @@ class TestAgainstOraclesAtSize:
                 assert info.value.triple == triple
             seen[expected] += 1
         assert min(seen.values()) > 500
+
+
+class TestClosedPosetsMatchVerifiedOnes:
+    """Closure results are assembled from the closed masks, not verified;
+    the verifying constructor must agree with them at up to 60 elements."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 60), st.floats(0, 1), st.integers(0, 2**32))
+    def test_auto_close(self, n, density, seed):
+        ground, pairs = random_pairs(random.Random(seed), n, density)
+        poset = validate(ground, pairs, auto_close=True)
+        assert_matches_verified(poset)
+        assert transitive_closure(pairs, ground) == poset.relation
+        if n <= 30:
+            assert set(poset.relation) == closure_fixpoint(pairs)
 
 
 class TestLinearOrderType:

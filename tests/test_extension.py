@@ -4,7 +4,7 @@ import random
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordext import (
     CapExceeded,
@@ -25,7 +25,7 @@ from ordext import (
 )
 from ordext.extension import _extensions
 
-from helpers import antichain, chain, diamond, random_policy, random_poset
+from helpers import antichain, assert_matches_verified, chain, diamond, random_policy, random_poset
 from oracles import (
     closure_fixpoint,
     count_by_downsets,
@@ -187,6 +187,26 @@ class TestAgainstOraclesAtSize:
                 order = linear_extension(poset, policy)
                 assert sorted(order.sequence) == sorted(poset.ground)
                 assert order.contains(poset.relation)
+
+
+class TestExtendedPosetsMatchVerifiedOnes:
+    """`extend_with_pair` assembles its poset from the closed masks, not verified;
+    the verifying constructor must agree with it at up to 60 elements."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(2, 60), st.floats(0, 0.2), st.integers(0, 2**32))
+    def test_extend_with_pair(self, n, density, seed):
+        rng = random.Random(seed)
+        poset = random_poset(rng, n, density)
+        free = incomparable_pairs(poset)
+        assume(free)
+        a, b = rng.choice(free)
+        if rng.random() < 0.5:
+            a, b = b, a
+        out = extend_with_pair(poset, ForcedPair(a, b))
+        assert_matches_verified(out)
+        if n <= 30:
+            assert set(out.relation) == closure_fixpoint(set(poset.relation) | {(a, b)})
 
 
 class TestLinearExtension:
@@ -364,6 +384,12 @@ class TestEnumerate:
         result = enumerate_linear_extensions(antichain(2), limit=0)
         assert len(result) == 0
         assert result.truncated
+
+    def test_limit_past_maxsize_is_no_limit(self):
+        result = enumerate_linear_extensions(antichain(3), limit=2**70)
+        assert len(result) == 6
+        assert not result.truncated
+        assert result.limit == 2**70
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
