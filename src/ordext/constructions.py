@@ -1,7 +1,8 @@
 """Structured total orders: bipartitions, block intervals, dense interleavings.
 
 Each construction returns a plain :class:`LinearOrder` decided entirely
-by its inputs and a tie-break policy.  Subset inputs are sets: segments
+by its inputs and a tie-break policy, built from tokens its own checks
+have passed, without checking them again.  Subset inputs are sets: segments
 are normalized to ground order, then :func:`policy._layout` starts one
 breaker and arranges them in output order, its stream running on from
 one segment into the next, so the line order of a subset file never
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .core import LinearOrder, check_ground, check_token
+from .core import LinearOrder, _linear_order, check_ground, check_token
 from .errors import (
     DuplicateElement,
     EmptyBlock,
@@ -136,7 +137,7 @@ def bipartition_order(
             raise NotDisjoint(tok, "A and B")
     taken = set(a_seg) | b_set
     middle = [tok for tok in seq if tok not in taken]
-    return LinearOrder(_layout(policy, (a_seg, middle, b_seg)))
+    return _linear_order(_layout(policy, (a_seg, middle, b_seg)))
 
 
 def partition_block_order(
@@ -156,7 +157,7 @@ def partition_block_order(
     blocks = [_in_ground_order(block, gi) for block in partition.blocks]
     placed = partition.members()
     leftover = [tok for tok in seq if tok not in placed]
-    return LinearOrder(_layout(policy, blocks + [leftover]))
+    return _linear_order(_layout(policy, blocks + [leftover]))
 
 
 def dense_interleave(
@@ -192,7 +193,7 @@ def dense_interleave(
     for y in ys:
         if y not in mapping:
             raise NotBijective(f"no image for {y!r}", y)
-    return LinearOrder(tuple(tok for y in _layout(policy, [ys]) for tok in (y, mapping[y])))
+    return _linear_order(tuple(tok for y in _layout(policy, [ys]) for tok in (y, mapping[y])))
 
 
 def is_dense(

@@ -6,8 +6,11 @@ of ordered pairs over a ground sequence.  The ground keeps its input
 order and doubles as the default tie-break source.  Every algorithm
 reads a relation through successor and predecessor bitmasks indexed by
 ground position, verified when `Poset` builds them from pairs and closed
-by construction in `_close`.  All values are immutable after
-construction and every operation is a pure function of its inputs.
+by construction in `_close`.  The public constructors verify everything
+they are given; results correct by construction are assembled by
+`_closed_poset` and `_linear_order` without a second check.  All values
+are immutable after construction and every operation is a pure function
+of its inputs.
 """
 
 from __future__ import annotations
@@ -207,6 +210,13 @@ class LinearOrder:
         return len(self.sequence)
 
 
+def _linear_order(sequence: tuple[str, ...]) -> LinearOrder:
+    """The order of a tuple of distinct, checked tokens, taken without verification."""
+    order = object.__new__(LinearOrder)
+    object.__setattr__(order, "sequence", sequence)
+    return order
+
+
 def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[int]) -> list[str]:
     """A shortest cycle x, ..., x of masks that hold one: breadth-first search
     from each start in turn, neighbours by position, first shortest kept."""
@@ -241,6 +251,11 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int]) -> Poset | No
         for i in walk:
             for j in bits(masks[i]):
                 masks[i] |= masks[j]
+    return _closed_poset(nodes, succ, pred)
+
+
+def _closed_poset(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int]) -> Poset:
+    """The poset of masks already closed, acyclic and transposed, taken without verification."""
     poset = object.__new__(Poset)
     vars(poset).update(ground=tuple(nodes), succ=tuple(succ), pred=tuple(pred))
     vars(poset)["relation"] = frozenset(poset.sorted_pairs())

@@ -1,12 +1,14 @@
 """Order extension: adjoin one forced pair, then linearize.
 
-The pipeline keeps its two stages separate.  `extend_with_pair` adds one
-incomparable pair and re-closes with `core._close`; `linear_extension`
-removes sources one at a time with a tie-break policy deciding among
-candidates; `szpilrajn` chains the two and returns a certificate a
-caller can re-check.  Enumeration tries every such removal order with
-one iterative walk, and a downset-counting dynamic program counts them
-one comparability component at a time; both cross-examine the fast path.
+The pipeline keeps its two stages separate.  `extend_with_pair` ORs one
+incomparable pair, and the pairs it forces, into the closed masks;
+`linear_extension` removes sources one at a time with a tie-break policy
+deciding among candidates; `szpilrajn` chains the two and returns a
+certificate a caller can re-check.  Enumeration tries every such removal
+order with one iterative walk, and a downset-counting dynamic program
+counts them one comparability component at a time; both cross-examine
+the fast path.  Results are correct by construction and are built
+without a second verification.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import chain, islice
 from math import comb
 from typing import Iterator
 
-from .core import LinearOrder, Pair, Poset, _close, bits, check_token, source_order
+from .core import LinearOrder, Pair, Poset, _closed_poset, _linear_order, bits, check_token, source_order
 from .errors import CapExceeded, NotIncomparable
 from .policy import TieBreakPolicy, _breaker
 
@@ -82,22 +84,26 @@ class Enumeration:
 
 
 def extend_with_pair(poset: Poset, pair: ForcedPair) -> Poset:
-    """Adjoin one incomparable pair to the closed masks and close them again.
+    """Adjoin one incomparable pair to the closed masks, keeping them closed.
 
     The result's relation is exactly the transitive closure of
     relation ∪ {(first, second)}: every element at or below `first`
     goes before every element at or above `second`, and nothing else
-    changes.
+    changes.  No new pair can close a cycle, because the two were
+    incomparable, so those pairs are ORed into the masks directly.
     """
     a, b = pair.first, pair.second
     i, j = poset.index(a), poset.index(b)
     for x, y in ((i, j), (j, i)):
         if poset.succ[x] >> y & 1:
             raise NotIncomparable(a, b, held=(poset.ground[x], poset.ground[y]))
+    below, above = poset.pred[i] | 1 << i, poset.succ[j] | 1 << j
     succ, pred = list(poset.succ), list(poset.pred)
-    succ[i] |= 1 << j
-    pred[j] |= 1 << i
-    return _close(poset.ground, succ, pred)
+    for x in bits(below):
+        succ[x] |= above
+    for y in bits(above):
+        pred[y] |= below
+    return _closed_poset(poset.ground, succ, pred)
 
 
 def linear_extension(
@@ -111,7 +117,7 @@ def linear_extension(
     too.  Output is a pure function of (poset, policy).
     """
     order = source_order(poset.ground, poset.succ, poset.pred, _breaker(policy).pick)
-    return LinearOrder(tuple(poset.ground[i] for i in order))
+    return _linear_order(tuple([poset.ground[i] for i in order]))
 
 
 def szpilrajn(
@@ -179,7 +185,7 @@ def enumerate_linear_extensions(
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     walk = _extensions(poset)
-    orders = tuple(map(LinearOrder, islice(walk, min(limit, sys.maxsize))))
+    orders = tuple(map(_linear_order, islice(walk, min(limit, sys.maxsize))))
     return Enumeration(orders=orders, truncated=next(walk, None) is not None, limit=limit)
 
 

@@ -18,7 +18,12 @@ equal seeds replay the same outputs on any platform or implementation:
 state advances by 0x9E3779B97F4A7C15 per draw and is finalized with the
 standard two-round xor-shift-multiply mix (0xBF58476D1CE4E5B9 then
 0x94D049BB133111EB, final shift 31); shuffle draw i uses
-``next() % (i + 1)``, walking i from the last index down to 1.
+``next() % (i + 1)``, walking i from the last index down to 1.  A choice
+among k candidates spends k - 1 draws.  How the draws are computed is
+not contract: draw t depends on nothing but the state and t (Steele, Lea
+and Flood 2014), so :meth:`_SplitMix64.draws` computes a call's draws
+together in 128-bit lanes of one int, and :meth:`TieBreaker.pick` finds
+the element the shuffle would put first without shuffling.
 
 One operation run spends one stream: :func:`_breaker`, the one place a
 breaker starts, reads ``policy=None`` as input order, and :func:`_layout`
@@ -28,26 +33,70 @@ included, each segment's draws following the previous segment's.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain
+from operator import mod
+from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
 
 KINDS = ("input-order", "lexicographic", "seeded")
 
+_GOLDEN = 0x9E3779B97F4A7C15
+
+# Lanes per block of draws: bounds the lane constants and each block's ints.
+_BLOCK = 1024
+
+# Per lane count (a power of two up to _BLOCK): ONES with 1 in every 128-bit
+# lane, RAMP with t * _GOLDEN in lane t (unreduced, below 2**76), LOW with the
+# low 64 bits of each lane set.  Built on first use, so importing costs nothing.
+_LANES: dict[int, tuple[int, int, int]] = {}
+
+# The low halves of the lanes among the 64-bit words of the lanes' native bytes.
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
+
+def _lanes(n: int) -> tuple[int, int, int]:
+    """Build and cache the lane constants for n lanes, in time linear in n."""
+    ones = ((1 << 128 * n) - 1) // ((1 << 128) - 1)
+    ramp = int.from_bytes(b"".join((t * _GOLDEN).to_bytes(16, "little") for t in range(n)), "little")
+    _LANES[n] = ones, ramp, ones * _MASK64
+    return _LANES[n]
+
 
 class _SplitMix64:
-    """The committed 64-bit mixing generator behind the seeded policy."""
+    """The committed 64-bit mixing generator behind the seeded policy.
+
+    The t-th draw from state s mixes s + t * golden alone, so the draws of
+    one call are independent: :meth:`draws` gives each its own 128-bit
+    lane of one int and runs both mixing rounds on all lanes at once.  A
+    64x64-bit product fits its lane, and the LOW mask cuts every lane back
+    to 64 bits and clears what a shift carried in from the lane above.
+    """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def draws(self, m: int) -> list[int]:
+        """The next m values of the stream."""
+        out: list[int] = []
+        state = self._state
+        for done in range(0, m, _BLOCK):
+            k = min(m - done, _BLOCK)
+            lanes = 1 << (k - 1).bit_length()
+            ones, ramp, low = _LANES.get(lanes) or _lanes(lanes)
+            z = (((state + _GOLDEN) & _MASK64) * ones + ramp) & low
+            z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+            z ^= z >> 31
+            out += memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS][:k].tolist()
+            state = (state + k * _GOLDEN) & _MASK64
+        self._state = state
+        return out
+
     def next(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self.draws(1)[0]
 
 
 @dataclass(frozen=True)
@@ -128,14 +177,31 @@ class TieBreaker:
         if self.policy.kind == "lexicographic":
             items.sort()
         elif self.policy.kind == "seeded":
-            for i in range(len(items) - 1, 0, -1):
-                j = self._rng.next() % (i + 1)
+            k = len(items)
+            for i, j in zip(range(k - 1, 0, -1), map(mod, self._rng.draws(k - 1), range(k, 1, -1))):
                 items[i], items[j] = items[j], items[i]
         return items
 
-    def pick(self, items) -> str:
-        """First element of the arranged candidate list."""
-        return self.arrange(items)[0]
+    def pick(self, items: Sequence[str]) -> str:
+        """The element `arrange(items)` would put first, found without arranging.
+
+        Input order takes the first item and lexicographic the least.
+        Seeded spends the same k - 1 draws as the shuffle.  Its swaps run
+        i = k-1 down to 1, so walking them back from i = 1 follows position
+        0 to where its element started: swap i moves the followed position
+        p < i only when it draws p, and then p becomes i.
+        """
+        if self.policy.kind == "lexicographic":
+            return min(items)
+        p = 0
+        if self.policy.kind == "seeded" and len(items) > 1:
+            k = len(items)
+            # swaps[i - 1] is the position swap i draws; the last slot, kept equal
+            # to p, stops the search at i = k when no later swap draws p.
+            swaps = [*map(mod, reversed(self._rng.draws(k - 1)), range(2, k + 1)), p]
+            while (i := swaps.index(p, p) + 1) < k:
+                p = swaps[-1] = i
+        return items[p]
 
 
 def _breaker(policy: TieBreakPolicy | None) -> TieBreaker:

@@ -1,5 +1,5 @@
 """Deterministic random instance generators shared by the test modules,
-plus the check that a poset matches its verified twin.
+plus the checks that a poset or an order matches its verified twin.
 
 Everything is driven by a caller-supplied `random.Random`, so a fixed
 seed reproduces the exact same instances.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from ordext import Poset, TieBreakPolicy, validate
+from ordext import LinearOrder, Poset, TieBreakPolicy, validate
 
 
 def random_pairs(
@@ -47,6 +47,15 @@ def assert_matches_verified(poset: Poset) -> None:
     assert poset == verified
     assert hash(poset) == hash(verified)
     assert (poset.succ, poset.pred) == (verified.succ, verified.pred)
+
+
+def assert_order_matches_verified(order: LinearOrder) -> None:
+    """`order` holds a tuple and equals and hashes like `LinearOrder(sequence)`,
+    which checks every token and rejects a repeated one."""
+    assert type(order.sequence) is tuple
+    verified = LinearOrder(order.sequence)
+    assert order == verified
+    assert hash(order) == hash(verified)
 
 
 def random_policy(rng: random.Random) -> TieBreakPolicy:

@@ -7,14 +7,67 @@ backtracking, extension counting by one dynamic program over the
 downsets of the whole ground instead of one per comparability
 component, density by a full double loop instead of consecutive-gap
 checks, incomparable pairs and order-axiom witnesses by scanning pairs
-and triples of the pair set instead of bitmasks.  Agreement between the routes is what the property tests assert.
+and triples of the pair set instead of bitmasks, the seeded generator
+one draw at a time instead of in lanes, and linearization by shuffling
+each candidate list in full instead of following one position through
+the swaps.  Agreement between the routes is what the property tests
+assert.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import islice, permutations
 
-from ordext import LinearOrder, Poset
+from ordext import LinearOrder, Poset, TieBreakPolicy
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_draws(seed):
+    """The committed splitmix64 stream, one draw at a time, without end."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def reference_stream(seed, count):
+    """The first `count` draws of the stream from `seed`."""
+    return list(islice(reference_draws(seed), count))
+
+
+def reference_shuffle(items, stream):
+    """The committed Fisher-Yates pass, taking len(items) - 1 draws from `stream`."""
+    items = list(items)
+    draws = iter(stream)
+    for i in range(len(items) - 1, 0, -1):
+        j = next(draws) % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def linearize_by_kahn(poset: Poset, policy: TieBreakPolicy) -> tuple[str, ...]:
+    """Source removal over the pair set: each step lists the unplaced elements
+    with no unplaced predecessor in ground order and takes the first of the
+    policy's full arrangement of them."""
+    draws = reference_draws(policy.seed) if policy.kind == "seeded" else None
+    preds = {tok: set() for tok in poset.ground}
+    for x, y in poset.relation:
+        preds[y].add(x)
+    out: list[str] = []
+    placed: set[str] = set()
+    while len(out) < len(poset.ground):
+        ready = [tok for tok in poset.ground if tok not in placed and preds[tok] <= placed]
+        if policy.kind == "lexicographic":
+            ready = sorted(ready)
+        elif policy.kind == "seeded":
+            ready = reference_shuffle(ready, draws)
+        out.append(ready[0])
+        placed.add(ready[0])
+    return tuple(out)
 
 
 def closure_fixpoint(pairs) -> set[tuple[str, str]]:

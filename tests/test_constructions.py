@@ -21,7 +21,7 @@ from ordext import (
     partition_block_order,
 )
 
-from helpers import random_policy
+from helpers import assert_order_matches_verified, random_policy
 from oracles import dense_double_loop
 
 
@@ -121,6 +121,7 @@ class TestBipartition:
             a, b = picks[:cut], picks[cut:]
             order = bipartition_order(ground, a, b, random_policy(rng))
             assert sorted(order.sequence) == sorted(ground)
+            assert_order_matches_verified(order)
             for x in a:
                 for y in b:
                     assert order.before(x, y)
@@ -185,6 +186,7 @@ class TestBlockOrder:
             part = Partition(tuple(blocks))
             order = partition_block_order(ground, part, random_policy(rng))
             assert sorted(order.sequence) == sorted(ground)
+            assert_order_matches_verified(order)
             leftover = tuple(t for t in ground if t not in part.members())
             ranges = []
             for group in [g for g in part.blocks + (leftover,) if g]:
@@ -243,6 +245,7 @@ class TestInterleave:
             phi = Bijection(tuple(zip(ys, images)))
             order = dense_interleave(ys, xs, phi, random_policy(rng))
             assert len(order) == 2 * n
+            assert_order_matches_verified(order)
             for pos, tok in enumerate(order.sequence):
                 expected = "y" if pos % 2 == 0 else "x"
                 assert tok.startswith(expected)

@@ -25,12 +25,21 @@ from ordext import (
 )
 from ordext.extension import _extensions
 
-from helpers import antichain, assert_matches_verified, chain, diamond, random_policy, random_poset
+from helpers import (
+    antichain,
+    assert_matches_verified,
+    assert_order_matches_verified,
+    chain,
+    diamond,
+    random_policy,
+    random_poset,
+)
 from oracles import (
     closure_fixpoint,
     count_by_downsets,
     extensions_by_filter,
     is_total,
+    linearize_by_kahn,
     strict_order_axioms_hold,
 )
 
@@ -207,6 +216,37 @@ class TestExtendedPosetsMatchVerifiedOnes:
         assert_matches_verified(out)
         if n <= 30:
             assert set(out.relation) == closure_fixpoint(set(poset.relation) | {(a, b)})
+
+
+class TestLinearExtensionMatchesKahnOracle:
+    """`linear_extension` picks the seeded shuffle's first element without shuffling and
+    builds its order unverified; the oracle shuffles every candidate list in full
+    over the pair set, and the verifying constructor must agree with the order."""
+
+    @staticmethod
+    def check(poset, policy_seed):
+        for policy in POLICIES + (TieBreakPolicy.seeded(policy_seed),):
+            order = linear_extension(poset, policy)
+            assert order.sequence == linearize_by_kahn(poset, policy)
+            assert_order_matches_verified(order)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 60), st.floats(0, 0.3), st.integers(0, 2**32), st.integers(0, 2**64 - 1))
+    def test_random_posets(self, n, density, seed, policy_seed):
+        self.check(random_poset(random.Random(seed), n, density), policy_seed)
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(st.integers(100, 300), st.integers(0, 2**64 - 1))
+    def test_antichains(self, n, policy_seed):
+        self.check(antichain(n), policy_seed)
+
+
+class TestEnumeratedOrdersMatchVerifiedOnes:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(0, 7), st.floats(0, 0.5), st.integers(0, 2**32))
+    def test_enumerate(self, n, density, seed):
+        for order in enumerate_linear_extensions(random_poset(random.Random(seed), n, density)):
+            assert_order_matches_verified(order)
 
 
 class TestLinearExtension:

@@ -1,34 +1,15 @@
 """The tie-break contract: parsing, validation, and the committed generator."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from ordext import TieBreakPolicy
-from ordext.policy import _MASK64, _SplitMix64, _breaker, _layout
+from ordext.policy import _BLOCK, _SplitMix64, _breaker, _layout
 
-
-def reference_stream(seed, count):
-    # Independent restatement of the committed generator, kept in the
-    # tests so any drift in the implementation fails loudly.
-    state = seed & _MASK64
-    out = []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append(z ^ (z >> 31))
-    return out
-
-
-def reference_shuffle(items, stream):
-    items = list(items)
-    draws = iter(stream)
-    for i in range(len(items) - 1, 0, -1):
-        j = next(draws) % (i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
+from oracles import reference_shuffle, reference_stream
 
 
 class TestParsing:
@@ -88,6 +69,32 @@ class TestGenerator:
             gen = _SplitMix64(seed)
             assert [gen.next() for _ in range(20)] == reference_stream(seed, 20)
 
+    @pytest.mark.parametrize("m", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_draws_match_reference(self, m):
+        for seed in (0, 42, (1 << 64) - 1):
+            gen = _SplitMix64(seed)
+            assert gen.draws(m) == reference_stream(seed, m)
+            assert gen.draws(m) == reference_stream(seed, 2 * m)[m:]
+
+    def test_draws_interleave_with_next(self):
+        rng = random.Random(5)
+        for _ in range(5):
+            seed = rng.getrandbits(64)
+            gen = _SplitMix64(seed)
+            got = []
+            for _ in range(30):
+                if rng.random() < 0.5:
+                    got.append(gen.next())
+                else:
+                    got += gen.draws(rng.choice([0, 1, 2, 3, 17, _BLOCK + 1]))
+            assert got == reference_stream(seed, len(got))
+
+    def test_import_builds_no_lane_constants(self):
+        # The lane constants are built on the first seeded draw, not at start-up.
+        code = "import ordext.cli, ordext.policy; print(len(ordext.policy._LANES))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout == "0\n"
+
 
 class TestArrange:
     def test_input_order_is_identity(self):
@@ -137,6 +144,38 @@ class TestArrange:
         items = ["c", "a", "b"]
         TieBreakPolicy.seeded(3).start().arrange(items)
         assert items == ["c", "a", "b"]
+
+
+class TestPick:
+    def test_seeded_is_first_of_reference_shuffle(self):
+        rng = random.Random(13)
+        for k in range(1, 41):
+            for _ in range(5):
+                seed = rng.getrandbits(64)
+                items = [f"t{i}" for i in range(k)]
+                rng.shuffle(items)
+                breaker = TieBreakPolicy.seeded(seed).start()
+                stream = reference_stream(seed, k - 1 + 5)
+                assert breaker.pick(items) == reference_shuffle(items, stream)[0]
+                # The next call reads on from draw k - 1: pick spent exactly k - 1 draws.
+                assert breaker.arrange("abcdef") == reference_shuffle("abcdef", stream[k - 1:])
+
+    def test_plain_kinds(self):
+        rng = random.Random(17)
+        lex, plain = TieBreakPolicy.lexicographic().start(), TieBreakPolicy.input_order().start()
+        for _ in range(50):
+            items = rng.sample([f"t{i}" for i in range(100)], rng.randrange(1, 20))
+            assert lex.pick(items) == sorted(items)[0]
+            assert plain.pick(items) == items[0]
+
+    @pytest.mark.parametrize("policy", [
+        TieBreakPolicy.input_order(), TieBreakPolicy.lexicographic(), TieBreakPolicy.seeded(9),
+    ])
+    def test_pick_does_not_mutate_input(self, policy):
+        items = [f"t{i}" for i in range(30, 0, -1)]
+        before = list(items)
+        policy.start().pick(items)
+        assert items == before
 
 
 class TestLayout:
