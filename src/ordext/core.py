@@ -3,20 +3,20 @@
 Relations are stored in strict form: reflexive pairs stay implicit, so a
 valid relation is an irreflexive, antisymmetric, transitively closed set
 of ordered pairs over a ground sequence.  The ground keeps its input
-order and doubles as the default tie-break source.  Every algorithm
-reads a relation through successor and predecessor bitmasks indexed by
+order and doubles as the default tie-break source.  A `Poset` stores
+the relation only as successor and predecessor bitmasks indexed by
 ground position, verified when `Poset` builds them from pairs and closed
-by construction in `_close`.  The public constructors verify everything
-they are given; results correct by construction are assembled by
-`_closed_poset` and `_linear_order` without a second check.  All values
-are immutable after construction and every operation is a pure function
-of its inputs.
+by construction in `_close`; its pairs are built on request.  The public
+constructors verify everything they are given; results correct by
+construction are assembled by `_closed_poset` and `_linear_order`
+without a second check.  All values are immutable after construction
+and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -124,27 +124,29 @@ def source_order(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int],
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Poset:
     """A ground sequence plus a strict, antisymmetric, transitively closed relation.
 
     `Poset(ground, relation)` verifies every invariant and raises a
     witness-carrying error otherwise; use :func:`validate` to build from
-    raw pairs, optionally closing them first.  Every poset has `succ` and
-    `pred`: for each ground position, the bitmask of the positions
-    strictly above and strictly below it.
+    raw pairs, optionally closing them first.  The stored form is `succ`
+    and `pred`, for each ground position the bitmask of the positions
+    strictly above and below it; `relation` is built from them on request.
     """
 
     ground: tuple[str, ...]
-    relation: frozenset[Pair]
+    succ: tuple[int, ...]
+    pred: tuple[int, ...] = field(compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ground", check_ground(self.ground))
-        object.__setattr__(
-            self, "relation", frozenset((x, y) for x, y in self.relation)
-        )
+    def __init__(self, ground: Iterable[str], relation: Iterable[Pair]):
+        # Hand-written: a dataclass InitVar `relation` would take the view below as its default.
+        self.__post_init__(ground, relation)
+
+    def __post_init__(self, ground: Iterable[str], relation: Iterable[Pair]):
+        object.__setattr__(self, "ground", check_ground(ground))
         g = self.ground
-        succ, pred, stray = _masks(self.relation, self.ground_index)
+        succ, pred, stray = _masks(relation, self.ground_index)
         _reject(stray, self.ground_index)
         for i, mask in enumerate(succ):
             both = mask & pred[i]
@@ -172,6 +174,14 @@ class Poset:
     def sorted_pairs(self) -> list[Pair]:
         """Relation pairs ordered by ground position; the canonical serialization order."""
         return [(x, self.ground[j]) for x, mask in zip(self.ground, self.succ) for j in bits(mask)]
+
+    @cached_property
+    def relation(self) -> frozenset[Pair]:
+        """The relation as a set of pairs, built from `succ` the first time it is read."""
+        return frozenset(self.sorted_pairs())
+
+    def __repr__(self) -> str:
+        return f"Poset(ground={self.ground!r}, relation={self.relation!r})"
 
 
 @dataclass(frozen=True)
@@ -258,7 +268,6 @@ def _closed_poset(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int]
     """The poset of masks already closed, acyclic and transposed, taken without verification."""
     poset = object.__new__(Poset)
     vars(poset).update(ground=tuple(nodes), succ=tuple(succ), pred=tuple(pred))
-    vars(poset)["relation"] = frozenset(poset.sorted_pairs())
     return poset
 
 
@@ -302,7 +311,7 @@ def validate(
     seq = check_ground(ground)
     plist = [(check_token(x), check_token(y)) for x, y in pairs]
     if not auto_close:
-        return Poset(seq, frozenset(plist))
+        return Poset(seq, plist)
     index = {tok: i for i, tok in enumerate(seq)}
     succ, pred, stray = _masks(plist, index)
     _reject(stray, index)
@@ -315,15 +324,14 @@ def validate(
 def restrict(poset: Poset, subset: Iterable[str]) -> Poset:
     """Sub-poset on `subset`: the relation intersected with subset x subset.
 
-    Restriction of a closed relation is closed; the result is verified
-    like any other poset.
+    Restriction of a closed relation is closed, so the result is read off
+    the masks of the kept positions without a second verification.
     """
     sub = check_ground(subset)
-    for tok in sub:
-        poset.index(tok)
-    keep = set(sub)
-    rel = frozenset(p for p in poset.relation if p[0] in keep and p[1] in keep)
-    return Poset(sub, rel)
+    new = {poset.index(tok): k for k, tok in enumerate(sub)}
+    succ = [sum(1 << new[j] for j in bits(poset.succ[i]) if j in new) for i in new]
+    pred = [sum(1 << new[j] for j in bits(poset.pred[i]) if j in new) for i in new]
+    return _closed_poset(sub, succ, pred)
 
 
 def order_from_enumeration(sequence: Iterable[str]) -> LinearOrder:

@@ -1,14 +1,16 @@
 """Core types and operations: validation, closure, restriction, queries."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordext import (
     AntisymmetryViolation,
     ClosureCreatesReflexivePair,
     DuplicateElement,
+    ForcedPair,
     InvalidToken,
     LinearOrder,
     NotClosed,
@@ -16,10 +18,16 @@ from ordext import (
     UnknownElement,
     check_ground,
     check_token,
+    count_linear_extensions,
+    enumerate_linear_extensions,
+    extend_with_pair,
+    format_relation,
     incomparable_pairs,
     is_comparable,
+    linear_extension,
     order_from_enumeration,
     restrict,
+    szpilrajn,
     transitive_closure,
     validate,
 )
@@ -256,6 +264,30 @@ class TestRestrict:
             sub = restrict(poset, take)
             assert strict_order_axioms_hold(sub.ground, sub.relation)
 
+    def test_duplicate_is_reported_before_unknown_member(self):
+        with pytest.raises(DuplicateElement) as info:
+            restrict(diamond(), ("z", "x", "x"))
+        assert info.value.token == "x"
+
+    def test_first_unknown_member_in_subset_order_is_named(self):
+        with pytest.raises(UnknownElement) as info:
+            restrict(diamond(), ("x", "q", "p"))
+        assert info.value.token == "q"
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 60), st.floats(0, 1), st.integers(0, 2**32), st.floats(0, 1))
+    @example(60, 0.5, 1, 0.0)
+    @example(60, 0.5, 2, 1.0)
+    def test_matches_verified_filter(self, n, density, seed, keep):
+        rng = random.Random(seed)
+        poset = random_poset(rng, n, density)
+        sub = [tok for tok in poset.ground if rng.random() < keep]
+        rng.shuffle(sub)
+        result = restrict(poset, sub)
+        assert_matches_verified(result)
+        kept = set(sub)
+        assert result == Poset(sub, [(x, y) for x, y in poset.relation if x in kept and y in kept])
+
 
 class TestOrderFromEnumeration:
     def test_three_elements(self):
@@ -394,6 +426,100 @@ class TestClosedPosetsMatchVerifiedOnes:
         assert transitive_closure(pairs, ground) == poset.relation
         if n <= 30:
             assert set(poset.relation) == closure_fixpoint(pairs)
+
+
+class TestStoredForm:
+    """A poset stores its ground and masks; its pairs are built only when
+    `relation` is read."""
+
+    @staticmethod
+    def long_chain() -> Poset:
+        poset = chain(1500)
+        assert "relation" not in vars(poset)
+        return poset
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda p: restrict(p, p.ground[::2]),
+            linear_extension,
+            lambda p: count_linear_extensions(p, cap=len(p.ground)),
+            lambda p: enumerate_linear_extensions(p, limit=2),
+            incomparable_pairs,
+            format_relation,
+        ],
+        ids=["restrict", "linearize", "count", "enumerate", "incomparable", "format"],
+    )
+    def test_operations_build_no_pairs(self, op):
+        poset = self.long_chain()
+        result = op(poset)
+        assert "relation" not in vars(poset)
+        if isinstance(result, Poset):
+            assert "relation" not in vars(result)
+
+    def test_extension_builds_no_pairs(self):
+        ground = (*self.long_chain().ground, "z")
+        poset = validate(ground, zip(ground, ground[1:-1]), auto_close=True)
+        out = extend_with_pair(poset, ForcedPair("c1499", "z"))
+        assert "relation" not in vars(poset)
+        assert "relation" not in vars(out)
+
+    def test_verified_poset_builds_no_pairs(self):
+        assert "relation" not in vars(validate(("a", "b", "c"), [("a", "b"), ("b", "c"), ("a", "c")]))
+
+    def test_relation_view_is_the_sorted_pairs(self):
+        for poset in (diamond(), validate(("c", "b", "a"), [("c", "b"), ("b", "a"), ("c", "a")]), antichain(3)):
+            assert poset.relation == frozenset(poset.sorted_pairs())
+
+    def test_repr_text(self):
+        for poset in (diamond(), validate(("b", "a"), [("b", "a")]), restrict(diamond(), ("x", "1"))):
+            assert repr(poset) == f"Poset(ground={poset.ground!r}, relation={poset.relation!r})"
+        assert repr(validate(("b", "a"), [("b", "a")])) == "Poset(ground=('b', 'a'), relation=frozenset({('b', 'a')}))"
+        assert repr(validate(("a",), [], auto_close=True)) == "Poset(ground=('a',), relation=frozenset())"
+
+    @pytest.mark.parametrize("attr", ["ground", "succ", "pred", "relation"])
+    def test_fields_are_frozen(self, attr):
+        with pytest.raises(FrozenInstanceError):
+            setattr(diamond(), attr, ())
+
+    def test_one_shot_iterator_relation(self):
+        pairs = [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1"), ("0", "1")]
+        assert Poset(diamond().ground, iter(pairs)) == diamond()
+        bad = [("a", "b"), ("b", "c")]
+        with pytest.raises(NotClosed) as from_list:
+            Poset(("a", "b", "c"), bad)
+        with pytest.raises(NotClosed) as from_iter:
+            Poset(("a", "b", "c"), iter(bad))
+        assert from_iter.value.args == from_list.value.args
+
+    def test_relation_is_required(self):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'relation'"):
+            Poset(("a", "b"))
+
+
+class TestVerifyOnce:
+    """Library results are assembled without `Poset.__post_init__`; only the
+    public constructor and `validate` without closing run it."""
+
+    def test_library_results_skip_the_verifier(self, monkeypatch):
+        ground, pairs = ("a", "b", "c", "d"), [("a", "b"), ("b", "c")]
+        poset = validate(ground, pairs, auto_close=True)
+
+        def refuse(self, *args):
+            raise AssertionError("verified a second time")
+
+        monkeypatch.setattr(Poset, "__post_init__", refuse)
+        assert validate(ground, pairs, auto_close=True) == poset
+        assert transitive_closure(pairs, ground) == {("a", "b"), ("b", "c"), ("a", "c")}
+        extended = extend_with_pair(poset, ForcedPair("c", "d"))
+        assert ("a", "d") in extended.relation
+        assert szpilrajn(poset, ForcedPair("d", "a")).output_order.sequence == ("d", "a", "b", "c")
+        assert restrict(poset, ("c", "a")).sorted_pairs() == [("a", "c")]
+        assert linear_extension(poset).sequence == ground
+        with pytest.raises(AssertionError):
+            Poset(ground, poset.relation)
+        with pytest.raises(AssertionError):
+            validate(ground, poset.relation)
 
 
 class TestLinearOrderType:
