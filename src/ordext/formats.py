@@ -9,15 +9,13 @@ library's business and surfaces as a domain error (exit 1).
 - relation: optional ground header, one element per line, then `---`,
   then one pair per line as `x < y`.  Without a separator every line is
   a pair.  Elements seen only in pairs join the ground in order of first
-  appearance.
+  appearance.  A relation token is checked where it first appears.
 - sequence: one element per line.
 - partition: blocks of one-element lines separated by `---` lines.
 - bijection: one mapping per line as `y -> x`, whitespace-separated.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .constructions import Bijection, Partition
 from .core import Pair, Poset, check_token
@@ -34,10 +32,23 @@ def _meaningful_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _checked(tokens, path: str | None, lineno: int) -> tuple[str, ...]:
-    """`tokens` checked in order; the first bad one is a parse error at `lineno`."""
+def _sections(text: str) -> tuple[list[list[tuple[int, str]]], list[int]]:
+    """The meaningful lines cut at each `---` line, and those lines' numbers."""
+    sections: list[list[tuple[int, str]]] = [[]]
+    cuts: list[int] = []
+    for lineno, line in _meaningful_lines(text):
+        if line == "---":
+            cuts.append(lineno)
+            sections.append([])
+        else:
+            sections[-1].append((lineno, line))
+    return sections, cuts
+
+
+def _checked(token: str, path: str | None, lineno: int) -> str:
+    """`token` checked; a bad one is a parse error at `lineno`."""
     try:
-        return tuple(map(check_token, tokens))
+        return check_token(token)
     except InvalidToken as exc:
         raise ParseError(str(exc), path, lineno) from None
 
@@ -46,16 +57,7 @@ def _one_token(line: str, path: str | None, lineno: int) -> str:
     fields = line.split()
     if len(fields) != 1:
         raise ParseError("expected one element per line", path, lineno)
-    return _checked(fields, path, lineno)[0]
-
-
-def _pair(line: str, path: str | None, lineno: int) -> Pair:
-    if "<" not in line:
-        raise ParseError("expected a pair written as 'x < y'", path, lineno)
-    left, _, right = line.partition("<")
-    if "<" in right:
-        raise ParseError("more than one '<' on the line", path, lineno)
-    return _checked((left.strip(), right.strip()), path, lineno)
+    return _checked(fields[0], path, lineno)
 
 
 def parse_relation(
@@ -68,24 +70,26 @@ def parse_relation(
     problems are left for validation, which reports them as domain
     errors with witnesses.
     """
-    lines = _meaningful_lines(text)
-    separators = [i for i, (_, line) in enumerate(lines) if line == "---"]
-    if len(separators) > 1:
-        lineno = lines[separators[1]][0]
-        raise ParseError("more than one '---' separator", path, lineno)
-    if separators:
-        cut = separators[0]
-        header, body = lines[:cut], lines[cut + 1 :]
-    else:
-        header, body = [], lines
+    sections, cuts = _sections(text)
+    if len(cuts) > 1:
+        raise ParseError("more than one '---' separator", path, cuts[1])
+    header, body = sections if cuts else ([], sections[0])
 
     ground = [_one_token(line, path, lineno) for lineno, line in header]
-    pairs = [_pair(line, path, lineno) for lineno, line in body]
     seen = set(ground)
-    for tok in chain.from_iterable(pairs):
-        if tok not in seen:
-            ground.append(tok)
-            seen.add(tok)
+    pairs: list[Pair] = []
+    for lineno, line in body:
+        if "<" not in line:
+            raise ParseError("expected a pair written as 'x < y'", path, lineno)
+        left, _, right = line.partition("<")
+        if "<" in right:
+            raise ParseError("more than one '<' on the line", path, lineno)
+        pair = (left.strip(), right.strip())
+        for tok in pair:
+            if tok not in seen:
+                ground.append(_checked(tok, path, lineno))
+                seen.add(tok)
+        pairs.append(pair)
     return tuple(ground), pairs
 
 
@@ -104,18 +108,12 @@ def parse_partition(text: str, path: str | None = None) -> Partition:
     Once a separator appears, every segment must be a nonempty block;
     the Partition type rejects empty ones.
     """
-    lines = _meaningful_lines(text)
-    blocks: list[tuple[str, ...]] = []
-    current: list[str] = []
-    for lineno, line in lines:
-        if line == "---":
-            blocks.append(tuple(current))
-            current = []
-        else:
-            current.append(_one_token(line, path, lineno))
-    if lines:
-        blocks.append(tuple(current))
-    return Partition(tuple(blocks))
+    sections, cuts = _sections(text)
+    blocks = tuple(
+        tuple(_one_token(line, path, lineno) for lineno, line in section)
+        for section in sections
+    )
+    return Partition(blocks if cuts or blocks[0] else ())
 
 
 def parse_bijection(text: str, path: str | None = None) -> Bijection:
@@ -125,7 +123,8 @@ def parse_bijection(text: str, path: str | None = None) -> Bijection:
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
             raise ParseError("expected a mapping written as 'y -> x'", path, lineno)
-        pairs.append(_checked((fields[0], fields[2]), path, lineno))
+        y = _checked(fields[0], path, lineno)
+        pairs.append((y, _checked(fields[2], path, lineno)))
     return Bijection(tuple(pairs))
 
 

@@ -95,9 +95,6 @@ class _SplitMix64:
         self._state = state
         return out
 
-    def next(self) -> int:
-        return self.draws(1)[0]
-
 
 @dataclass(frozen=True)
 class TieBreakPolicy:

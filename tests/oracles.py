@@ -8,17 +8,28 @@ downsets of the whole ground instead of one per comparability
 component, density by a full double loop instead of consecutive-gap
 checks, incomparable pairs and order-axiom witnesses by scanning pairs
 and triples of the pair set instead of bitmasks, the seeded generator
-one draw at a time instead of in lanes, and linearization by shuffling
+one draw at a time instead of in lanes, linearization by shuffling
 each candidate list in full instead of following one position through
-the swaps.  Agreement between the routes is what the property tests
+the swaps, and the relation and partition readers by checking every
+token occurrence, collecting the ground in a second pass and cutting
+partition blocks in their own `---` loop instead of one shared section
+reader.  Agreement between the routes is what the property tests
 assert.
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
-from ordext import LinearOrder, Poset, TieBreakPolicy
+from ordext import (
+    InvalidToken,
+    LinearOrder,
+    ParseError,
+    Partition,
+    Poset,
+    TieBreakPolicy,
+    check_token,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -177,3 +188,73 @@ def is_total(ground, rel) -> bool:
     return all(
         x == y or (x, y) in rel or (y, x) in rel for x in ground for y in ground
     )
+
+
+def _reference_lines(text):
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            out.append((lineno, line))
+    return out
+
+
+def _reference_checked(tokens, path, lineno):
+    try:
+        return tuple(map(check_token, tokens))
+    except InvalidToken as exc:
+        raise ParseError(str(exc), path, lineno) from None
+
+
+def _reference_one_token(line, path, lineno):
+    fields = line.split()
+    if len(fields) != 1:
+        raise ParseError("expected one element per line", path, lineno)
+    return _reference_checked(fields, path, lineno)[0]
+
+
+def _reference_pair(line, path, lineno):
+    if "<" not in line:
+        raise ParseError("expected a pair written as 'x < y'", path, lineno)
+    left, _, right = line.partition("<")
+    if "<" in right:
+        raise ParseError("more than one '<' on the line", path, lineno)
+    return _reference_checked((left.strip(), right.strip()), path, lineno)
+
+
+def parse_relation_reference(text, path=None):
+    """The relation reader checking every token occurrence, ground in a second pass."""
+    lines = _reference_lines(text)
+    separators = [i for i, (_, line) in enumerate(lines) if line == "---"]
+    if len(separators) > 1:
+        lineno = lines[separators[1]][0]
+        raise ParseError("more than one '---' separator", path, lineno)
+    if separators:
+        cut = separators[0]
+        header, body = lines[:cut], lines[cut + 1 :]
+    else:
+        header, body = [], lines
+    ground = [_reference_one_token(line, path, lineno) for lineno, line in header]
+    pairs = [_reference_pair(line, path, lineno) for lineno, line in body]
+    seen = set(ground)
+    for tok in chain.from_iterable(pairs):
+        if tok not in seen:
+            ground.append(tok)
+            seen.add(tok)
+    return tuple(ground), pairs
+
+
+def parse_partition_reference(text, path=None):
+    """The partition reader cutting blocks in its own `---` loop."""
+    lines = _reference_lines(text)
+    blocks = []
+    current = []
+    for lineno, line in lines:
+        if line == "---":
+            blocks.append(tuple(current))
+            current = []
+        else:
+            current.append(_reference_one_token(line, path, lineno))
+    if lines:
+        blocks.append(tuple(current))
+    return Partition(tuple(blocks))

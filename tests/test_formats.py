@@ -1,11 +1,14 @@
 """File formats: parsing, diagnostics with positions, canonical serialization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ordext.formats
 from ordext import (
     EmptyBlock,
     NotBijective,
     ParseError,
+    check_token,
     format_relation,
     parse_bijection,
     parse_partition,
@@ -13,6 +16,8 @@ from ordext import (
     parse_sequence,
     validate,
 )
+
+from oracles import parse_partition_reference, parse_relation_reference
 
 
 class TestParseRelation:
@@ -79,6 +84,18 @@ class TestParseRelation:
         ground, pairs = parse_relation("a\na\n---\n")
         assert ground == ("a", "a")
 
+    def test_each_distinct_token_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(token):
+            calls.append(token)
+            return check_token(token)
+
+        monkeypatch.setattr(ordext.formats, "check_token", counting)
+        ground, _ = parse_relation("a\n---\na < b\nb < c\na < c\n")
+        assert ground == ("a", "b", "c")
+        assert calls == ["a", "b", "c"]
+
 
 class TestParseSequence:
     def test_tokens_in_order(self):
@@ -115,9 +132,10 @@ class TestParsePartition:
         assert parse_partition("# blocks\n\n  # none yet\n").blocks == ()
 
     def test_lone_separator_makes_empty_first_block(self):
-        with pytest.raises(EmptyBlock) as info:
-            parse_partition("---\n")
-        assert info.value.index == 1
+        for text in ("---\n", "---\na\n"):
+            with pytest.raises(EmptyBlock) as info:
+                parse_partition(text)
+            assert info.value.index == 1
 
     def test_trailing_separator_makes_empty_block(self):
         with pytest.raises(EmptyBlock) as info:
@@ -174,3 +192,36 @@ class TestFormatRelation:
         poset = validate(("lonely", "a", "b"), [("a", "b")])
         ground, _ = parse_relation(format_relation(poset))
         assert ground == ("lonely", "a", "b")
+
+
+# Lines a relation or partition file can hold, good and malformed.
+_LINES = [
+    "a", "b", "c", " a ", "a b", "#x", "# note", "", "\t", "---", " --- ",
+    "a < b", "b<c", "c < a", "a < a", "a < #x", "#x < a", "a <", "< b", "<<",
+    "a < b < c", "a b < c", "--- < a",
+]
+
+
+def _outcome(read, text):
+    """What `read` gives for `text`: its value (a partition's blocks) or its error."""
+    try:
+        value = read(text, "f.txt")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return getattr(value, "blocks", value)
+
+
+class TestReadersMatchReference:
+    """The readers against the `oracles` ones, which check every token occurrence."""
+
+    texts = st.lists(st.sampled_from(_LINES), max_size=10).map("\n".join)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(texts)
+    def test_relation(self, text):
+        assert _outcome(parse_relation, text) == _outcome(parse_relation_reference, text)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(texts)
+    def test_partition(self, text):
+        assert _outcome(parse_partition, text) == _outcome(parse_partition_reference, text)

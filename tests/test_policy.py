@@ -58,7 +58,7 @@ class TestConstruction:
 class TestGenerator:
     def test_frozen_vectors_seed_zero(self):
         gen = _SplitMix64(0)
-        assert [gen.next() for _ in range(3)] == [
+        assert [gen.draws(1)[0] for _ in range(3)] == [
             16294208416658607535,
             7960286522194355700,
             487617019471545679,
@@ -67,7 +67,7 @@ class TestGenerator:
     def test_matches_reference_restatement(self):
         for seed in (0, 1, 42, 1234567, (1 << 64) - 1):
             gen = _SplitMix64(seed)
-            assert [gen.next() for _ in range(20)] == reference_stream(seed, 20)
+            assert [gen.draws(1)[0] for _ in range(20)] == reference_stream(seed, 20)
 
     @pytest.mark.parametrize("m", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_draws_match_reference(self, m):
@@ -77,6 +77,7 @@ class TestGenerator:
             assert gen.draws(m) == reference_stream(seed, 2 * m)[m:]
 
     def test_draws_interleave_with_next(self):
+        # One-draw steps, draws(1), mixed with batches of other sizes.
         rng = random.Random(5)
         for _ in range(5):
             seed = rng.getrandbits(64)
@@ -84,7 +85,7 @@ class TestGenerator:
             got = []
             for _ in range(30):
                 if rng.random() < 0.5:
-                    got.append(gen.next())
+                    got += gen.draws(1)
                 else:
                     got += gen.draws(rng.choice([0, 1, 2, 3, 17, _BLOCK + 1]))
             assert got == reference_stream(seed, len(got))
