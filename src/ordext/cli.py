@@ -39,8 +39,8 @@ from .extension import (
     ForcedPair,
     _extensions,
     count_linear_extensions,
+    extend_with_pair,
     linear_extension,
-    szpilrajn,
 )
 from .formats import (
     format_relation,
@@ -117,10 +117,11 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def cmd_szpilrajn(args: argparse.Namespace) -> int:
+    # The two stages of `szpilrajn`, without the certificate, which would build every input pair.
     poset = _load_poset(args.relation)
-    forced = ForcedPair(*args.force) if args.force else None
-    certificate = szpilrajn(poset, forced, args.tie_break)
-    _emit(certificate.output_order.sequence, args.output)
+    if args.force:
+        poset = extend_with_pair(poset, ForcedPair(*args.force))
+    _emit(linear_extension(poset, args.tie_break).sequence, args.output)
     return 0
 
 

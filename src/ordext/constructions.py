@@ -15,9 +15,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
-from .core import LinearOrder, _linear_order, check_ground, check_token
+from .core import LinearOrder, _linear_order, _valid_tokens, check_ground, check_token
 from .errors import (
     DuplicateElement,
     EmptyBlock,
@@ -43,6 +44,9 @@ class Partition:
         object.__setattr__(
             self, "blocks", tuple(tuple(block) for block in self.blocks)
         )
+        tokens = tuple(chain.from_iterable(self.blocks))
+        if all(self.blocks) and _valid_tokens(tokens) and len(set(tokens)) == len(tokens):
+            return
         owner: dict[str, int] = {}
         for i, block in enumerate(self.blocks, start=1):
             if not block:
@@ -74,6 +78,9 @@ class Bijection:
         object.__setattr__(
             self, "pairs", tuple((y, x) for y, x in self.pairs)
         )
+        tokens = tuple(chain.from_iterable(self.pairs))
+        if _valid_tokens(tokens) and len(set(tokens[::2])) == len(set(tokens[1::2])) == len(self.pairs):
+            return
         seen_domain: set[str] = set()
         seen_image: set[str] = set()
         for y, x in self.pairs:

@@ -9,8 +9,9 @@ ground position, verified when `Poset` builds them from pairs and closed
 by construction in `_close`; its pairs are built on request.  The public
 constructors verify everything they are given; results correct by
 construction are assembled by `_closed_poset` and `_linear_order`
-without a second check.  All values are immutable after construction
-and every operation is a pure function of its inputs.
+without a second check.  Tokens are checked as one batch by `_valid_tokens`
+and walked one by one only to name a witness.  All values are immutable
+after construction and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -51,9 +52,32 @@ def check_token(token: object) -> str:
     return token
 
 
+def _valid_tokens(seq: tuple) -> bool:
+    """True exactly when every item of `seq` would pass `check_token`, decided in C over one
+    `<`-join: it fails on a non-string, and once its only `<` are the len(seq) - 1 separators,
+    an empty token shows as `<<` or a `<` at an end, and a `#` prefix as `<#` or a leading `#`."""
+    if not seq:
+        return True
+    try:
+        joined = "<".join(seq)
+    except TypeError:
+        return False
+    return (
+        joined.split() == [joined]
+        and joined.count("<") == len(seq) - 1
+        and "<<" not in joined
+        and not joined.startswith(("<", "#"))
+        and not joined.endswith("<")
+        and "<#" not in joined
+        and "---" not in seq
+    )
+
+
 def check_ground(tokens: Iterable[str]) -> tuple[str, ...]:
     """Validate a ground sequence: well-formed tokens, pairwise distinct."""
     seq = tuple(tokens)
+    if _valid_tokens(seq) and len(set(seq)) == len(seq):
+        return seq
     seen = set()
     for tok in seq:
         check_token(tok)

@@ -9,7 +9,8 @@ library's business and surfaces as a domain error (exit 1).
 - relation: optional ground header, one element per line, then `---`,
   then one pair per line as `x < y`.  Without a separator every line is
   a pair.  Elements seen only in pairs join the ground in order of first
-  appearance.  A relation token is checked where it first appears.
+  appearance.  A relation token is checked where it first appears; the
+  other formats check their tokens as one batch.
 - sequence: one element per line.
 - partition: blocks of one-element lines separated by `---` lines.
 - bijection: one mapping per line as `y -> x`, whitespace-separated.
@@ -18,7 +19,7 @@ library's business and surfaces as a domain error (exit 1).
 from __future__ import annotations
 
 from .constructions import Bijection, Partition
-from .core import Pair, Poset, check_token
+from .core import Pair, Poset, _valid_tokens, check_token
 from .errors import InvalidToken, ParseError
 
 
@@ -60,6 +61,21 @@ def _one_token(line: str, path: str | None, lineno: int) -> str:
     return _checked(fields[0], path, lineno)
 
 
+def _line_tokens(lines: list[tuple[int, str]], path: str | None) -> tuple[str, ...]:
+    """The one token of each line, checked as one batch and walked line by line only if it fails."""
+    tokens = tuple(line for _, line in lines)
+    if _valid_tokens(tokens):
+        return tokens
+    return tuple(_one_token(line, path, lineno) for lineno, line in lines)
+
+
+def _check_mapped(tokens: list[str], lines: list[tuple[int, str]], path: str | None) -> None:
+    """Check the y, x tokens of the first mapping lines as one batch, walked only if it fails."""
+    if not _valid_tokens(tuple(tokens)):
+        for i, tok in enumerate(tokens):
+            _checked(tok, path, lines[i // 2][0])
+
+
 def parse_relation(
     text: str, path: str | None = None
 ) -> tuple[tuple[str, ...], list[Pair]]:
@@ -95,10 +111,7 @@ def parse_relation(
 
 def parse_sequence(text: str, path: str | None = None) -> tuple[str, ...]:
     """Read a sequence file: one element per line, order preserved."""
-    return tuple(
-        _one_token(line, path, lineno)
-        for lineno, line in _meaningful_lines(text)
-    )
+    return _line_tokens(_meaningful_lines(text), path)
 
 
 def parse_partition(text: str, path: str | None = None) -> Partition:
@@ -109,23 +122,22 @@ def parse_partition(text: str, path: str | None = None) -> Partition:
     the Partition type rejects empty ones.
     """
     sections, cuts = _sections(text)
-    blocks = tuple(
-        tuple(_one_token(line, path, lineno) for lineno, line in section)
-        for section in sections
-    )
+    blocks = tuple(_line_tokens(section, path) for section in sections)
     return Partition(blocks if cuts or blocks[0] else ())
 
 
 def parse_bijection(text: str, path: str | None = None) -> Bijection:
     """Read a bijection file: one mapping per line as `y -> x`."""
-    pairs: list[tuple[str, str]] = []
-    for lineno, line in _meaningful_lines(text):
+    lines = _meaningful_lines(text)
+    tokens: list[str] = []
+    for lineno, line in lines:
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
+            _check_mapped(tokens, lines, path)  # a bad token on an earlier line comes first
             raise ParseError("expected a mapping written as 'y -> x'", path, lineno)
-        y = _checked(fields[0], path, lineno)
-        pairs.append((y, _checked(fields[2], path, lineno)))
-    return Bijection(tuple(pairs))
+        tokens += (fields[0], fields[2])
+    _check_mapped(tokens, lines, path)
+    return Bijection(tuple(zip(tokens[::2], tokens[1::2])))
 
 
 def format_relation(poset: Poset) -> str:

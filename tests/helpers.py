@@ -1,5 +1,6 @@
 """Deterministic random instance generators shared by the test modules,
-plus the checks that a poset or an order matches its verified twin.
+plus the checks that a poset or an order matches its verified twin and
+the outcome of a call that is compared with a reference.
 
 Everything is driven by a caller-supplied `random.Random`, so a fixed
 seed reproduces the exact same instances.
@@ -59,6 +60,16 @@ def assert_order_matches_verified(order: LinearOrder) -> None:
     verified = LinearOrder(order.sequence)
     assert order == verified
     assert hash(order) == hash(verified)
+
+
+def outcome(make, *args):
+    """What `make(*args)` gives: its value (a partition's blocks, a bijection's
+    pairs) or its error's class and message."""
+    try:
+        value = make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return getattr(value, "blocks", getattr(value, "pairs", value))
 
 
 def random_policy(rng: random.Random) -> TieBreakPolicy:

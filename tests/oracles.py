@@ -10,11 +10,13 @@ checks, incomparable pairs and order-axiom witnesses by scanning pairs
 and triples of the pair set instead of bitmasks, the seeded generator
 one draw at a time instead of in lanes, linearization by shuffling
 each candidate list in full instead of following one position through
-the swaps, and the relation and partition readers by checking every
+the swaps, the relation and partition readers by checking every
 token occurrence, collecting the ground in a second pass and cutting
 partition blocks in their own `---` loop instead of one shared section
-reader.  Agreement between the routes is what the property tests
-assert.
+reader, and the ground check, the sequence and bijection readers and
+the `Partition` and `Bijection` constructors by checking one token at a
+time instead of one batch.  Agreement between the routes is what the
+property tests assert.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from __future__ import annotations
 from itertools import chain, islice, permutations
 
 from ordext import (
+    DuplicateElement,
+    EmptyBlock,
     InvalidToken,
     LinearOrder,
+    NotBijective,
+    NotDisjoint,
     ParseError,
-    Partition,
     Poset,
     TieBreakPolicy,
     check_token,
@@ -257,4 +262,66 @@ def parse_partition_reference(text, path=None):
             current.append(_reference_one_token(line, path, lineno))
     if lines:
         blocks.append(tuple(current))
-    return Partition(tuple(blocks))
+    return partition_blocks_reference(blocks)
+
+
+def check_ground_reference(tokens):
+    """The ground check one token at a time, each token checked, then tested for a repeat."""
+    seq = tuple(tokens)
+    seen = set()
+    for tok in seq:
+        check_token(tok)
+        if tok in seen:
+            raise DuplicateElement(tok)
+        seen.add(tok)
+    return seq
+
+
+def partition_blocks_reference(blocks):
+    """The blocks `Partition` keeps, checked one token at a time in block order."""
+    blocks = tuple(tuple(block) for block in blocks)
+    owner = {}
+    for i, block in enumerate(blocks, start=1):
+        if not block:
+            raise EmptyBlock(i)
+        for tok in block:
+            check_token(tok)
+            if owner.get(tok) == i:
+                raise DuplicateElement(tok)
+            if tok in owner:
+                raise NotDisjoint(tok, f"blocks {owner[tok]} and {i}")
+            owner[tok] = i
+    return blocks
+
+
+def bijection_pairs_reference(pairs):
+    """The pairs `Bijection` keeps, checked one pair at a time in input order."""
+    pairs = tuple((y, x) for y, x in pairs)
+    seen_domain = set()
+    seen_image = set()
+    for y, x in pairs:
+        check_token(y)
+        check_token(x)
+        if y in seen_domain:
+            raise NotBijective(f"{y!r} has two images", y)
+        if x in seen_image:
+            raise NotBijective(f"two elements map to {x!r}", x)
+        seen_domain.add(y)
+        seen_image.add(x)
+    return pairs
+
+
+def parse_sequence_reference(text, path=None):
+    """The sequence reader checking each line's token as it reads it."""
+    return tuple(_reference_one_token(line, path, lineno) for lineno, line in _reference_lines(text))
+
+
+def parse_bijection_reference(text, path=None):
+    """The bijection reader checking each mapping's tokens as it reads the line."""
+    pairs = []
+    for lineno, line in _reference_lines(text):
+        fields = line.split()
+        if len(fields) != 3 or fields[1] != "->":
+            raise ParseError("expected a mapping written as 'y -> x'", path, lineno)
+        pairs.append(_reference_checked((fields[0], fields[2]), path, lineno))
+    return bijection_pairs_reference(pairs)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ordext import ForcedPair, Poset, TieBreakPolicy, parse_relation, szpilrajn, validate
 from ordext.cli import main
 
 CHAIN = "a < b\nb < c\n"
@@ -162,6 +163,18 @@ class TestSzpilrajn:
         assert code == 0
         lines = out.splitlines()
         assert lines.index("y") < lines.index("x")
+
+    def test_reads_no_pair_set(self, run, monkeypatch):
+        poset = validate(*parse_relation(DIAMOND), auto_close=True)
+        expected = szpilrajn(poset, ForcedPair("y", "x"), TieBreakPolicy.seeded(3)).output_order.sequence
+
+        def refuse(self):
+            raise AssertionError("Poset.relation was read")
+
+        monkeypatch.setattr(Poset, "relation", property(refuse))
+        code, out, err = run("szpilrajn", "--force", "y", "x", "--tie-break", "seed:3", "r", files={"r": DIAMOND})
+        assert (code, err) == (0, "")
+        assert out == "".join(tok + "\n" for tok in expected)
 
     def test_forced_comparable_rejected(self, run):
         code, _, err = run("szpilrajn", "--force", "b", "a", "r", files={"r": "a < b\n"})

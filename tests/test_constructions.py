@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordext import (
     Bijection,
@@ -21,8 +22,8 @@ from ordext import (
     partition_block_order,
 )
 
-from helpers import assert_order_matches_verified, random_policy
-from oracles import dense_double_loop
+from helpers import assert_order_matches_verified, outcome, random_policy
+from oracles import bijection_pairs_reference, dense_double_loop, partition_blocks_reference
 
 
 class TestPartitionType:
@@ -74,6 +75,24 @@ class TestBijectionType:
     def test_unknown_lookup(self):
         with pytest.raises(UnknownElement):
             Bijection((("y1", "x1"),))("y9")
+
+
+# Block and pair members: good tokens, repeats, and ones `check_token` rejects.
+_MEMBERS = st.sampled_from(["a", "b", "c", "d", "", "a b", "#x", "x<y", "---", None])
+
+
+class TestTypesMatchReference:
+    """`Partition` and `Bijection` against the `oracles` loops, which check one token at a time."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.lists(st.lists(_MEMBERS, max_size=4), max_size=4))
+    def test_partition(self, blocks):
+        assert outcome(Partition, blocks) == outcome(partition_blocks_reference, blocks)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.lists(st.tuples(_MEMBERS, _MEMBERS), max_size=5))
+    def test_bijection(self, pairs):
+        assert outcome(Bijection, pairs) == outcome(bijection_pairs_reference, pairs)
 
 
 class TestBipartition:

@@ -34,9 +34,11 @@ from ordext import (
     validate,
 )
 from ordext.cli import main
+from ordext.core import _valid_tokens
 
-from helpers import antichain, assert_matches_verified, chain, diamond, random_pairs, random_poset
+from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset
 from oracles import (
+    check_ground_reference,
     closure_fixpoint,
     first_two_cycle,
     first_unclosed_triple,
@@ -174,6 +176,36 @@ class TestValidate:
 
 class Token(str):
     """A `str` subclass: a valid token like any other string."""
+
+
+def _passes(token):
+    try:
+        check_token(token)
+    except InvalidToken:
+        return False
+    return True
+
+
+# Pieces of tokens: what `check_token` rejects, next to ASCII and Unicode whitespace.
+_PIECES = [
+    "a", "b", "-", "#", "<", "---", "", " ", "\t", "\n", "\r", "\x0b", "\x0c",
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+]
+_STRINGS = st.lists(st.sampled_from(_PIECES), max_size=3).map("".join)
+_ITEMS = st.one_of(_STRINGS, _STRINGS.map(Token), st.sampled_from([None, 1, b"a", ["a"]]))
+_GOOD = st.sampled_from(["a", "b", "a-b", "a#", "--", "-", Token("c")])
+
+
+class TestBatchTokenCheck:
+    """The one-batch token check against `check_token` and the token-by-token ground loop of `oracles`."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.lists(_GOOD, max_size=6), st.lists(_ITEMS, max_size=2), st.integers(0, 6))
+    def test_matches_check_token(self, good, items, at):
+        # Up to six items: at most two from the whole alphabet, set among good ones.
+        seq = tuple(good[:at] + items + good[at:])[:6]
+        assert _valid_tokens(seq) == all(map(_passes, seq))
+        assert outcome(check_ground, seq) == outcome(check_ground_reference, seq)
 
 
 BUILDERS = pytest.mark.parametrize(

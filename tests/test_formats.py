@@ -17,7 +17,13 @@ from ordext import (
     validate,
 )
 
-from oracles import parse_partition_reference, parse_relation_reference
+from helpers import outcome
+from oracles import (
+    parse_bijection_reference,
+    parse_partition_reference,
+    parse_relation_reference,
+    parse_sequence_reference,
+)
 
 
 class TestParseRelation:
@@ -116,6 +122,11 @@ class TestParseSequence:
         with pytest.raises(ParseError):
             parse_sequence("a\n---\n")
 
+    def test_bad_token_before_two_token_line_wins(self):
+        with pytest.raises(ParseError) as info:
+            parse_sequence("a<b\nc\nd e\n", path="seq.txt")
+        assert str(info.value) == "seq.txt:1: invalid element token 'a<b': contains '<'"
+
 
 class TestParsePartition:
     def test_blocks(self):
@@ -168,6 +179,18 @@ class TestParseBijection:
         with pytest.raises(ParseError):
             parse_bijection("y1->x1\n")
 
+    def test_bad_token_before_malformed_mapping_wins(self):
+        with pytest.raises(ParseError) as info:
+            parse_bijection("y1 -> x1\ny2 -> #x2\ny3 -> x3\ny4 x4\n", path="phi.txt")
+        assert str(info.value) == (
+            "phi.txt:2: invalid element token '#x2': starts with '#', reserved for comments"
+        )
+
+    def test_malformed_mapping_before_bad_token_wins(self):
+        with pytest.raises(ParseError) as info:
+            parse_bijection("y1 -> x1\ny2 x2\ny3 -> x3\ny4 -> #x4\n", path="phi.txt")
+        assert str(info.value) == "phi.txt:2: expected a mapping written as 'y -> x'"
+
     def test_duplicate_domain_is_domain_error(self):
         with pytest.raises(NotBijective):
             parse_bijection("y1 -> x1\ny1 -> x2\n")
@@ -194,34 +217,42 @@ class TestFormatRelation:
         assert ground == ("lonely", "a", "b")
 
 
-# Lines a relation or partition file can hold, good and malformed.
+# Lines a relation, sequence or partition file can hold, good and malformed.
 _LINES = [
     "a", "b", "c", " a ", "a b", "#x", "# note", "", "\t", "---", " --- ",
     "a < b", "b<c", "c < a", "a < a", "a < #x", "#x < a", "a <", "< b", "<<",
-    "a < b < c", "a b < c", "--- < a",
+    "a < b < c", "a b < c", "--- < a", "a\xa0b", "\u3000c", "-",
 ]
 
-
-def _outcome(read, text):
-    """What `read` gives for `text`: its value (a partition's blocks) or its error."""
-    try:
-        value = read(text, "f.txt")
-    except Exception as exc:
-        return type(exc), str(exc)
-    return getattr(value, "blocks", value)
+# Lines a bijection file can hold, good and malformed.
+_MAPPINGS = [
+    "a -> b", "b -> c", "c -> a", "x -> y", "a->b", "a -> b c", "-> b", "a -> #x",
+    "a -> <", "a -> ---", "y\xa0-> x", "# note", "", "a => b",
+]
 
 
 class TestReadersMatchReference:
     """The readers against the `oracles` ones, which check every token occurrence."""
 
     texts = st.lists(st.sampled_from(_LINES), max_size=10).map("\n".join)
+    mappings = st.lists(st.sampled_from(_MAPPINGS), max_size=10).map("\n".join)
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(texts)
     def test_relation(self, text):
-        assert _outcome(parse_relation, text) == _outcome(parse_relation_reference, text)
+        assert outcome(parse_relation, text, "f.txt") == outcome(parse_relation_reference, text, "f.txt")
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(texts)
     def test_partition(self, text):
-        assert _outcome(parse_partition, text) == _outcome(parse_partition_reference, text)
+        assert outcome(parse_partition, text, "f.txt") == outcome(parse_partition_reference, text, "f.txt")
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(texts)
+    def test_sequence(self, text):
+        assert outcome(parse_sequence, text, "f.txt") == outcome(parse_sequence_reference, text, "f.txt")
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(mappings)
+    def test_bijection(self, text):
+        assert outcome(parse_bijection, text, "f.txt") == outcome(parse_bijection_reference, text, "f.txt")
