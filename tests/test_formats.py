@@ -90,6 +90,23 @@ class TestParseRelation:
         ground, pairs = parse_relation("a\na\n---\n")
         assert ground == ("a", "a")
 
+    def test_bad_token_before_malformed_pair_wins(self):
+        with pytest.raises(ParseError) as info:
+            parse_relation("a < b\nb < #c\nc < d\nd e\n", path="rel.txt")
+        assert str(info.value) == (
+            "rel.txt:2: invalid element token '#c': starts with '#', reserved for comments"
+        )
+
+    def test_malformed_pair_before_bad_token_wins(self):
+        with pytest.raises(ParseError) as info:
+            parse_relation("a < b\nb c\nc < d\nd < #e\n", path="rel.txt")
+        assert str(info.value) == "rel.txt:2: expected a pair written as 'x < y'"
+
+    def test_malformed_pair_wins_over_its_own_bad_token(self):
+        with pytest.raises(ParseError) as info:
+            parse_relation("a < b\nc < #d < e\n", path="rel.txt")
+        assert str(info.value) == "rel.txt:2: more than one '<' on the line"
+
     def test_each_distinct_token_checked_once(self, monkeypatch):
         calls = []
 
