@@ -323,12 +323,8 @@ def transitive_closure(
     naming a shortest one; `node_order`, lexicographic by default, fixes which.
     """
     plist = list(pairs)
-    try:
-        for x, y in plist:
-            check_token(x)
-            check_token(y)
-    except InvalidToken:  # name the least bad token, not the first one read
-        tokens = (tok for pair in plist for tok in pair)
+    tokens = [tok for x, y in plist for tok in (x, y)]
+    if not _valid_tokens(tuple(tokens)):  # name the least bad token, not the first one read
         for tok in sorted(tokens, key=lambda t: (True, t) if isinstance(t, str) else (False, repr(t))):
             check_token(tok)
     return _closure(plist, node_order).relation

@@ -4,13 +4,15 @@ All four formats share one lexical layer: UTF-8 text, blank lines and
 lines starting with `#` ignored, `---` on a line of its own as the only
 structural separator.  Parsers raise :class:`ParseError` (exit 2 at the
 CLI) for malformed text; whether the parsed object makes sense is the
-library's business and surfaces as a domain error (exit 1).
+library's business and surfaces as a domain error (exit 1).  Every
+reader checks its tokens as one batch and walks them in file order only
+when the batch fails, so the error named is the first bad token or
+malformed line, a line's structure before its tokens.
 
 - relation: optional ground header, one element per line, then `---`,
   then one pair per line as `x < y`.  Without a separator every line is
   a pair.  Elements seen only in pairs join the ground in order of first
-  appearance.  A relation token is checked where it first appears; the
-  other formats check their tokens as one batch.
+  appearance.
 - sequence: one element per line.
 - partition: blocks of one-element lines separated by `---` lines.
 - bijection: one mapping per line as `y -> x`, whitespace-separated.
@@ -69,8 +71,8 @@ def _line_tokens(lines: list[tuple[int, str]], path: str | None) -> tuple[str, .
     return tuple(_one_token(line, path, lineno) for lineno, line in lines)
 
 
-def _check_mapped(tokens: list[str], lines: list[tuple[int, str]], path: str | None) -> None:
-    """Check the y, x tokens of the first mapping lines as one batch, walked only if it fails."""
+def _check_two_per_line(tokens: list[str], lines: list[tuple[int, str]], path: str | None) -> None:
+    """Check the first lines' tokens, two to a line, as one batch, walked only if it fails."""
     if not _valid_tokens(tuple(tokens)):
         for i, tok in enumerate(tokens):
             _checked(tok, path, lines[i // 2][0])
@@ -91,22 +93,19 @@ def parse_relation(
         raise ParseError("more than one '---' separator", path, cuts[1])
     header, body = sections if cuts else ([], sections[0])
 
-    ground = [_one_token(line, path, lineno) for lineno, line in header]
-    seen = set(ground)
-    pairs: list[Pair] = []
+    ground = _line_tokens(header, path)
+    tokens: list[str] = []
     for lineno, line in body:
-        if "<" not in line:
-            raise ParseError("expected a pair written as 'x < y'", path, lineno)
-        left, _, right = line.partition("<")
-        if "<" in right:
-            raise ParseError("more than one '<' on the line", path, lineno)
-        pair = (left.strip(), right.strip())
-        for tok in pair:
-            if tok not in seen:
-                ground.append(_checked(tok, path, lineno))
-                seen.add(tok)
-        pairs.append(pair)
-    return tuple(ground), pairs
+        left, angle, right = line.partition("<")
+        if not angle or "<" in right:
+            _check_two_per_line(tokens, body, path)  # a bad token on an earlier line comes first
+            problem = "more than one '<' on the line" if angle else "expected a pair written as 'x < y'"
+            raise ParseError(problem, path, lineno)
+        tokens += (left.strip(), right.strip())
+    _check_two_per_line(tokens, body, path)
+    known = set(ground)
+    ground += tuple(tok for tok in dict.fromkeys(tokens) if tok not in known)
+    return ground, list(zip(tokens[::2], tokens[1::2]))
 
 
 def parse_sequence(text: str, path: str | None = None) -> tuple[str, ...]:
@@ -133,10 +132,10 @@ def parse_bijection(text: str, path: str | None = None) -> Bijection:
     for lineno, line in lines:
         fields = line.split()
         if len(fields) != 3 or fields[1] != "->":
-            _check_mapped(tokens, lines, path)  # a bad token on an earlier line comes first
+            _check_two_per_line(tokens, lines, path)  # a bad token on an earlier line comes first
             raise ParseError("expected a mapping written as 'y -> x'", path, lineno)
         tokens += (fields[0], fields[2])
-    _check_mapped(tokens, lines, path)
+    _check_two_per_line(tokens, lines, path)
     return Bijection(tuple(zip(tokens[::2], tokens[1::2])))
 
 

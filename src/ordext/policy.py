@@ -115,7 +115,7 @@ class TieBreakPolicy:
         if self.kind == "seeded":
             if self.seed is None:
                 raise ValueError("seeded tie-break requires a seed")
-            if not 0 <= self.seed < 1 << 64:
+            if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
                 raise ValueError("seed must be an unsigned 64-bit integer")
         elif self.seed is not None:
             raise ValueError(f"{self.kind} tie-break takes no seed")

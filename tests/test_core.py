@@ -325,6 +325,12 @@ class TestClosure:
                 transitive_closure(order)
             assert info.value.token == token
 
+    def test_item_that_is_not_a_pair_raises_before_any_token_is_checked(self):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            transitive_closure([("a", ""), ("b", "c", "d")])
+        with pytest.raises(TypeError, match="cannot unpack non-iterable int object"):
+            transitive_closure([("a", 7), 5])
+
     def test_node_order_picks_the_cycle_witness(self):
         # Starts follow node_order, repeats included; the first shortest cycle wins.
         pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")]

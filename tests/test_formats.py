@@ -114,10 +114,15 @@ class TestParseRelation:
             calls.append(token)
             return check_token(token)
 
+        # A valid file is checked as one batch; a bad one is walked in file order up to its witness.
         monkeypatch.setattr(ordext.formats, "check_token", counting)
         ground, _ = parse_relation("a\n---\na < b\nb < c\na < c\n")
         assert ground == ("a", "b", "c")
-        assert calls == ["a", "b", "c"]
+        assert calls == []
+        with pytest.raises(ParseError) as info:
+            parse_relation("a\n---\na < b\nb < c\nc < #d\na < e\n", path="rel.txt")
+        assert str(info.value).startswith("rel.txt:5: invalid element token '#d'")
+        assert calls == ["a", "b", "b", "c", "c", "#d"]
 
 
 class TestParseSequence:

@@ -54,6 +54,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TieBreakPolicy("seeded", seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 5.0, "5"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            TieBreakPolicy("seeded", seed)
+
 
 class TestGenerator:
     def test_frozen_vectors_seed_zero(self):
