@@ -1,9 +1,12 @@
 """A seeded corpus of CLI and library cases, each pinned by the sha256 of its bytes.
 
     PYTHONPATH=src python3 tests/corpus.py
+    PYTHONPATH=src python3 tests/corpus.py --check
 
-records the digest of every case in tests/corpus.json; `test_corpus.py`
-runs each case again and compares.  Re-record only for a deliberate change
+The first records the digest of every case in tests/corpus.json; the
+second, like `test_corpus.py` but with the standard library alone, runs
+each case again, names every case whose digest differs from the recorded
+one and exits 1 if there is any.  Re-record only for a deliberate change
 in behaviour, and name that change in CHANGES.md.
 
 A CLI case runs `ordext.cli.main` in-process from a temporary directory
@@ -178,10 +181,135 @@ def _library_cases(rng: random.Random) -> dict[str, tuple]:
     return cases
 
 
+# Sequence files that fail to parse, or cannot be read, whatever slot they fill.
+_BAD_SEQUENCES = {
+    "dup.seq": b"a\nb\na\n",
+    "two-per-line.seq": b"a\nb c\n",
+    "angle.seq": b"a\nx<y\n",
+    "separator.seq": b"a\n---\n",
+    "nbsp.seq": "a\nb\xa0c\n".encode(),
+    "empty.seq": b"",
+    "non-utf8.seq": b"a\n\xff\n",
+    "missing.seq": None,
+}
+
+_BAD_PARTITIONS = {
+    "dup.part": b"a\na\n---\nb\n",
+    "overlap.part": b"a\n---\nb\na\n",
+    "empty-block.part": b"a\n---\n",
+    "two-per-line.part": b"a b\n",
+    "hash.part": b"a\n---\n b\n#c\n---\nd e\n",
+    "separators-only.part": b"---\n",
+    "empty.part": b"",
+    "non-utf8.part": b"a\n---\n\xff\n",
+    "missing.part": None,
+}
+
+_BAD_BIJECTIONS = {
+    "two-images.bij": b"a -> x\na -> y\n",
+    "two-preimages.bij": b"a -> x\nb -> x\n",
+    "no-arrow.bij": b"a x\n",
+    "reversed-arrow.bij": b"a <- x\n",
+    "bad-token.bij": b"a -> x\nb -> x<y\n",
+    "bad-then-malformed.bij": b"a -> #x\nb x\n",
+    "empty.bij": b"",
+    "non-utf8.bij": b"a -> \xff\n",
+    "missing.bij": None,
+}
+
+
+def _lines(rng: random.Random, tokens: list[str]) -> bytes:
+    """One token a line, with comments, blanks and uneven spacing put in."""
+    lines = [rng.choice(["{}", " {}", "{}\t"]).format(tok) for tok in tokens]
+    for _ in range(rng.randrange(3)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "# note", "  "]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _blocks(rng: random.Random, tokens: list[str]) -> bytes:
+    cuts = sorted(rng.sample(range(1, len(tokens)), rng.randrange(len(tokens)))) if len(tokens) > 1 else []
+    blocks = [tokens[i:j] for i, j in zip([0, *cuts], [*cuts, len(tokens)])]
+    return b"---\n".join(_lines(rng, block) for block in blocks)
+
+
+def _construction_instance(rng: random.Random, command: str) -> list[bytes]:
+    """Good files for one run of `command`, in argument order; sometimes one of them
+    breaks a domain rule (overlap, an unknown or missing element, a size mismatch)."""
+    names = rng.sample(_NAMES, rng.randrange(4, 9))
+    odd = rng.random() < 0.3
+    if command == "bipartition":
+        k = rng.randrange(1, len(names) - 1)
+        a = rng.sample(names[:k], rng.randrange(1, k + 1))
+        b = rng.sample(names[k:], rng.randrange(1, len(names) - k + 1))
+        if odd:
+            (a if rng.random() < 0.5 else b).append(rng.choice([*a, *b, "zz"]))
+        return [_lines(rng, names), _lines(rng, a), _lines(rng, b)]
+    if command == "blocks":
+        placed = rng.sample(names, rng.randrange(1, len(names) + 1))
+        if odd:
+            placed.append(rng.choice(["zz", *placed]))
+        return [_lines(rng, names), _blocks(rng, placed)]
+    if command == "interleave":
+        half = len(names) // 2
+        ys, xs = names[:half], names[half:2 * half]
+        pairs = list(zip(ys, rng.sample(xs, half)))
+        rng.shuffle(pairs)
+        if odd:
+            rng.choice([pairs, ys, xs]).pop()
+        phi = "".join(rng.choice(["{} -> {}\n", "  {}\t->  {}\n"]).format(*pair) for pair in pairs)
+        return [_lines(rng, ys), _lines(rng, xs), phi.encode()]
+    order = names[:]
+    if odd:
+        order.pop(rng.randrange(len(order)))
+    t1 = rng.sample(names, rng.randrange(len(names) + 1))
+    t2 = rng.sample(names, rng.randrange(len(names) + 1))
+    return [_lines(rng, order), _lines(rng, t1), _lines(rng, t2)]
+
+
+# Per construction command: the file kind of each positional slot.
+_SLOTS = {
+    "bipartition": ("seq", "seq", "seq"),
+    "blocks": ("seq", "part"),
+    "interleave": ("seq", "seq", "bij"),
+    "dense-check": ("seq", "seq", "seq"),
+}
+
+_BAD_FILES = {"seq": _BAD_SEQUENCES, "part": _BAD_PARTITIONS, "bij": _BAD_BIJECTIONS}
+
+
+def _construction_cases(rng: random.Random) -> dict[str, tuple]:
+    """CLI cases of the four construction commands: good and domain-breaking
+    instances under every tie-break kind and output mode, then each slot
+    filled in turn with every file that fails to parse or cannot be read."""
+    cases: dict[str, tuple] = {}
+    for command, slots in _SLOTS.items():
+        flag_sets = [[], ["--non-strict"]] if command == "dense-check" else [
+            [], ["--tie-break", "input"], ["--tie-break", "lex"], ["--tie-break", f"seed:{rng.getrandbits(64)}"]]
+        runs = [(i, flags) for i in range(3) for flags in flag_sets]
+        for j, (i, flags) in enumerate(runs + [(3 + k, rng.choice(flag_sets)) for k in range(6)]):
+            data = _construction_instance(rng, command)
+            files = {f"{slot}{n}.{kind}": text for n, (slot, kind, text) in
+                     enumerate(zip("fgh", slots, data))}
+            mode = ("human", "machine")[(i + j) % 2]
+            argv = [command, *files, *flags, "--output", mode]
+            cases[f"cli/{command}/instance{j}/{mode}"] = (argv, files, {})
+        good = dict(zip([f"{slot}{n}.{kind}" for n, (slot, kind) in enumerate(zip("fgh", slots))],
+                        _construction_instance(rng, command)))
+        for n, kind in enumerate(slots):
+            for bad, text in _BAD_FILES[kind].items():
+                names = list(good)
+                names[n] = bad
+                files = {name: good.get(name, text) for name in names if good.get(name, text) is not None}
+                flags = [] if command == "dense-check" else ["--tie-break", rng.choice(["input", "lex", "seed:7"])]
+                mode = rng.choice(["human", "machine"])
+                cases[f"cli/{command}/slot{n}-{bad}/{mode}"] = ([command, *names, *flags, "--output", mode], files, {})
+    return cases
+
+
 def cases() -> dict[str, tuple]:
     """Every case by name, built from SEED alone."""
     rng = random.Random(SEED)
-    return {**_cli_cases(rng), **_library_cases(rng)}
+    return {**_cli_cases(rng), **_library_cases(rng), **_construction_cases(rng)}
 
 
 def _library(name: str, args: tuple) -> bytes:
@@ -241,5 +369,15 @@ def record() -> int:
     return 0
 
 
+def check() -> int:
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    table = {name: digest(data) for name, data in outputs(cases()).items()}
+    wrong = sorted(name for name in recorded.keys() | table.keys() if recorded.get(name) != table.get(name))
+    for name in wrong:
+        print(f"differs: {name}", file=sys.stderr)
+    print(f"{len(wrong)} of {len(table)} cases differ from {DIGESTS.name}", file=sys.stderr)
+    return 1 if wrong else 0
+
+
 if __name__ == "__main__":
-    sys.exit(record())
+    sys.exit(check() if sys.argv[1:] == ["--check"] else record())
