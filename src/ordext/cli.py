@@ -21,7 +21,6 @@ import os
 import sys
 from itertools import islice
 
-from .constructions import bipartition_order, dense_interleave, is_dense, partition_block_order
 from .core import (
     Poset,
     _closure,
@@ -171,6 +170,8 @@ def cmd_incomparable(args: argparse.Namespace) -> int:
 
 
 def cmd_bipartition(args: argparse.Namespace) -> int:
+    from .constructions import bipartition_order
+
     ground = parse_sequence(_read(args.ground), args.ground)
     first = parse_sequence(_read(args.a), args.a)
     second = parse_sequence(_read(args.b), args.b)
@@ -180,6 +181,8 @@ def cmd_bipartition(args: argparse.Namespace) -> int:
 
 
 def cmd_blocks(args: argparse.Namespace) -> int:
+    from .constructions import partition_block_order
+
     ground = parse_sequence(_read(args.ground), args.ground)
     partition = parse_partition(_read(args.partition), args.partition)
     order = partition_block_order(ground, partition, args.tie_break)
@@ -188,6 +191,8 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 def cmd_interleave(args: argparse.Namespace) -> int:
+    from .constructions import dense_interleave
+
     ys = parse_sequence(_read(args.y), args.y)
     xs = parse_sequence(_read(args.x), args.x)
     phi = parse_bijection(_read(args.phi), args.phi)
@@ -197,6 +202,8 @@ def cmd_interleave(args: argparse.Namespace) -> int:
 
 
 def cmd_dense_check(args: argparse.Namespace) -> int:
+    from .constructions import is_dense
+
     order = order_from_enumeration(parse_sequence(_read(args.order), args.order))
     t1 = parse_sequence(_read(args.t1), args.t1)
     t2 = parse_sequence(_read(args.t2), args.t2)
@@ -205,15 +212,84 @@ def cmd_dense_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_RELATION = _arg("relation", help="relation file")
+
+_TIE_BREAK = _arg(
+    "--tie-break",
+    type=_policy_arg,
+    default=None,
+    metavar="input|lex|seed:<u64>",
+    help="how free choices are resolved (default: input order)",
+)
+
+# Each command's handler, help text and arguments besides --output, in help order.
+COMMANDS = {
+    "validate": (cmd_validate, "check a relation file against the order axioms", [
+        _RELATION,
+        _arg("subset", nargs="?", default=None, help="optional sequence file; restrict to it"),
+        _arg("--auto-close", action="store_true", help="close the relation instead of requiring closedness"),
+    ]),
+    "closure": (cmd_closure, "print the transitive closure of a relation file", [_RELATION]),
+    "linearize": (cmd_linearize, "print one linear extension", [_RELATION, _TIE_BREAK]),
+    "szpilrajn": (cmd_szpilrajn, "linear extension, optionally through a forced pair", [
+        _RELATION,
+        _arg("--force", nargs=2, metavar=("A", "B"), help="require A before B; they must be incomparable"),
+        _TIE_BREAK,
+    ]),
+    "enumerate": (cmd_enumerate, "list all linear extensions up to a limit", [
+        _RELATION,
+        _arg("--limit", type=_nonnegative_arg, default=None,
+             help=f"maximum number of orders (default {DEFAULT_ENUM_LIMIT}, env {ENV_ENUM_LIMIT})"),
+    ]),
+    "count": (cmd_count, "count all linear extensions exactly", [
+        _RELATION,
+        _arg("--cap", type=_nonnegative_arg, default=None,
+             help=f"largest allowed ground size (default {DEFAULT_COUNT_CAP})"),
+    ]),
+    "incomparable": (cmd_incomparable, "list incomparable pairs, or test one pair", [
+        _RELATION,
+        _arg("pair", nargs="*", help="optional: two elements to test"),
+    ]),
+    "bipartition": (cmd_bipartition, "order with all of A first and all of B last", [
+        _arg("ground", help="sequence file"),
+        _arg("a", help="sequence file for A"),
+        _arg("b", help="sequence file for B"),
+        _TIE_BREAK,
+    ]),
+    "blocks": (cmd_blocks, "order with each partition block contiguous, leftover last", [
+        _arg("ground", help="sequence file"),
+        _arg("partition", help="partition file"),
+        _TIE_BREAK,
+    ]),
+    "interleave": (cmd_interleave, "alternate Y with its image under a bijection", [
+        _arg("y", help="sequence file for Y"),
+        _arg("x", help="sequence file for X"),
+        _arg("phi", help="bijection file mapping Y onto X"),
+        _TIE_BREAK,
+    ]),
+    "dense-check": (cmd_dense_check, "is T1 dense in T2 under a given total order?", [
+        _arg("order", help="sequence file: the total order"),
+        _arg("t1", help="sequence file for T1"),
+        _arg("t2", help="sequence file for T2"),
+        _arg("--non-strict", action="store_true", help="allow the witness to equal an endpoint"),
+    ]),
+}
+
+
+def build_parser(*names: str) -> argparse.ArgumentParser:
+    """The parser with a subparser for each named command, or for every command when none is named."""
     parser = argparse.ArgumentParser(
         prog="ordext",
         description="Finite partial orders: validation, linear extension, "
         "and structured total-order constructions.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    for name in names or COMMANDS:
+        handler, help_text, arguments = COMMANDS[name]
         sub = subparsers.add_parser(name, help=help_text, description=help_text)
         sub.add_argument(
             "--output",
@@ -221,78 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
             default="human",
             help="human: one element per line; machine: tab-separated lines",
         )
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
         sub.set_defaults(func=handler)
-        return sub
-
-    def tie_break(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--tie-break",
-            type=_policy_arg,
-            default=None,
-            metavar="input|lex|seed:<u64>",
-            help="how free choices are resolved (default: input order)",
-        )
-
-    sub = command("validate", cmd_validate, "check a relation file against the order axioms")
-    sub.add_argument("relation", help="relation file")
-    sub.add_argument("subset", nargs="?", default=None, help="optional sequence file; restrict to it")
-    sub.add_argument("--auto-close", action="store_true", help="close the relation instead of requiring closedness")
-
-    sub = command("closure", cmd_closure, "print the transitive closure of a relation file")
-    sub.add_argument("relation", help="relation file")
-
-    sub = command("linearize", cmd_linearize, "print one linear extension")
-    sub.add_argument("relation", help="relation file")
-    tie_break(sub)
-
-    sub = command("szpilrajn", cmd_szpilrajn, "linear extension, optionally through a forced pair")
-    sub.add_argument("relation", help="relation file")
-    sub.add_argument("--force", nargs=2, metavar=("A", "B"), help="require A before B; they must be incomparable")
-    tie_break(sub)
-
-    sub = command("enumerate", cmd_enumerate, "list all linear extensions up to a limit")
-    sub.add_argument("relation", help="relation file")
-    sub.add_argument("--limit", type=_nonnegative_arg, default=None,
-                     help=f"maximum number of orders (default {DEFAULT_ENUM_LIMIT}, env {ENV_ENUM_LIMIT})")
-
-    sub = command("count", cmd_count, "count all linear extensions exactly")
-    sub.add_argument("relation", help="relation file")
-    sub.add_argument("--cap", type=_nonnegative_arg, default=None,
-                     help=f"largest allowed ground size (default {DEFAULT_COUNT_CAP})")
-
-    sub = command("incomparable", cmd_incomparable, "list incomparable pairs, or test one pair")
-    sub.add_argument("relation", help="relation file")
-    sub.add_argument("pair", nargs="*", help="optional: two elements to test")
-
-    sub = command("bipartition", cmd_bipartition, "order with all of A first and all of B last")
-    sub.add_argument("ground", help="sequence file")
-    sub.add_argument("a", help="sequence file for A")
-    sub.add_argument("b", help="sequence file for B")
-    tie_break(sub)
-
-    sub = command("blocks", cmd_blocks, "order with each partition block contiguous, leftover last")
-    sub.add_argument("ground", help="sequence file")
-    sub.add_argument("partition", help="partition file")
-    tie_break(sub)
-
-    sub = command("interleave", cmd_interleave, "alternate Y with its image under a bijection")
-    sub.add_argument("y", help="sequence file for Y")
-    sub.add_argument("x", help="sequence file for X")
-    sub.add_argument("phi", help="bijection file mapping Y onto X")
-    tie_break(sub)
-
-    sub = command("dense-check", cmd_dense_check, "is T1 dense in T2 under a given total order?")
-    sub.add_argument("order", help="sequence file: the total order")
-    sub.add_argument("t1", help="sequence file for T1")
-    sub.add_argument("t2", help="sequence file for T2")
-    sub.add_argument("--non-strict", action="store_true",
-                     help="allow the witness to equal an endpoint")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A command's own parser gives the same bytes as the full one, help and errors
+    # included; any other start (none, a flag, an unknown name) needs every command.
+    parser = build_parser(*[name for name in argv[:1] if name in COMMANDS])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -305,6 +320,12 @@ def main(argv: list[str] | None = None) -> int:
         # The reader left early (`ordext enumerate ... | head`); drop the rest quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # Files are read through _read, so this is a failed write to stdout (a full disk).
+        # Drop the unwritten rest, so the flush at exit reports nothing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
+        return 2
     except (ParseError, OrderError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, ParseError) else 1

@@ -13,12 +13,11 @@ question about one existing order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
-from .core import LinearOrder, _linear_order, _valid_tokens, check_ground, check_token
+from .core import LinearOrder, _linear_order, _Record, _valid_tokens, check_ground, check_token
 from .errors import (
     DuplicateElement,
     EmptyBlock,
@@ -30,20 +29,18 @@ from .errors import (
 from .policy import TieBreakPolicy, _layout
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """An ordered sequence of nonempty, pairwise disjoint blocks.
 
     Block order is meaningful: constructions lay blocks out in the order
     given here.  Indices in diagnostics are 1-based.
     """
 
+    _fields = ("blocks",)
     blocks: tuple[tuple[str, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(tuple(block) for block in self.blocks)
-        )
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+        vars(self).update(blocks=tuple(tuple(block) for block in blocks))
         tokens = tuple(chain.from_iterable(self.blocks))
         if all(self.blocks) and _valid_tokens(tokens) and len(set(tokens)) == len(tokens):
             return
@@ -63,8 +60,7 @@ class Partition:
         return {tok for block in self.blocks for tok in block}
 
 
-@dataclass(frozen=True)
-class Bijection:
+class Bijection(_Record):
     """A one-one map, stored as (domain, image) pairs in input order.
 
     Construction rejects a repeated domain element (two images) or a
@@ -72,12 +68,11 @@ class Bijection:
     domain/codomain are checked where the bijection gets used.
     """
 
+    _fields = ("pairs",)
     pairs: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((y, x) for y, x in self.pairs)
-        )
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        vars(self).update(pairs=tuple((y, x) for y, x in pairs))
         tokens = tuple(chain.from_iterable(self.pairs))
         if _valid_tokens(tokens) and len(set(tokens[::2])) == len(set(tokens[1::2])) == len(self.pairs):
             return

@@ -17,7 +17,6 @@ after construction and every operation is a pure function of its inputs.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -33,6 +32,40 @@ from .errors import (
 )
 
 Pair = tuple[str, str]
+
+
+class _Record:
+    """Base of the frozen value types: `==` and `hash` over the values of `_fields`
+    (for the same class only), a repr that names them, and no assignment or deletion
+    of any attribute, raising `dataclasses.FrozenInstanceError` as a frozen dataclass
+    does.  Each `__init__` stores its values with `vars(self).update`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only when it is raised
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def check_token(token: object) -> str:
@@ -150,8 +183,7 @@ def source_order(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int],
     return out
 
 
-@dataclass(frozen=True, init=False)
-class Poset:
+class Poset(_Record):
     """A ground sequence plus a strict, antisymmetric, transitively closed relation.
 
     `Poset(ground, relation)` verifies every invariant and raises a
@@ -159,14 +191,15 @@ class Poset:
     raw pairs, optionally closing them first.  The stored form is `succ`
     and `pred`, for each ground position the bitmask of the positions
     strictly above and below it; `relation` is built from them on request.
+    Equality and hashing read `ground` and `succ`.
     """
 
+    _fields = ("ground", "succ")
     ground: tuple[str, ...]
     succ: tuple[int, ...]
-    pred: tuple[int, ...] = field(compare=False)
+    pred: tuple[int, ...]
 
     def __init__(self, ground: Iterable[str], relation: Iterable[Pair]):
-        # Hand-written: a dataclass InitVar `relation` would take the view below as its default.
         self.__post_init__(ground, relation)
 
     def __post_init__(self, ground: Iterable[str], relation: Iterable[Pair]):
@@ -210,14 +243,14 @@ class Poset:
         return f"Poset(ground={self.ground!r}, relation={self.relation!r})"
 
 
-@dataclass(frozen=True)
-class LinearOrder:
+class LinearOrder(_Record):
     """A permutation of its ground; position decides every comparison."""
 
+    _fields = ("sequence",)
     sequence: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "sequence", check_ground(self.sequence))
+    def __init__(self, sequence: tuple[str, ...]):
+        vars(self).update(sequence=check_ground(sequence))
 
     @cached_property
     def positions(self) -> dict[str, int]:

@@ -14,12 +14,11 @@ without a second verification.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice
 from math import comb
 from typing import Iterator
 
-from .core import LinearOrder, Pair, Poset, _closed_poset, _linear_order, bits, check_token, source_order
+from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, bits, check_token, source_order
 from .errors import CapExceeded, NotIncomparable
 from .policy import TieBreakPolicy, _breaker
 
@@ -28,22 +27,22 @@ DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_COUNT_CAP = 20
 
 
-@dataclass(frozen=True)
-class ForcedPair:
+class ForcedPair(_Record):
     """An ordered pair the output order must realize: first before second."""
 
+    _fields = ("first", "second")
     first: str
     second: str
 
-    def __post_init__(self):
-        check_token(self.first)
-        check_token(self.second)
-        if self.first == self.second:
-            raise NotIncomparable(self.first, self.second)
+    def __init__(self, first: str, second: str):
+        vars(self).update(first=first, second=second)
+        check_token(first)
+        check_token(second)
+        if first == second:
+            raise NotIncomparable(first, second)
 
 
-@dataclass(frozen=True)
-class ExtensionCertificate:
+class ExtensionCertificate(_Record):
     """A linear extension together with what it extends.
 
     `verify` re-checks the claim from scratch: every input pair runs
@@ -51,9 +50,13 @@ class ExtensionCertificate:
     element precedes its second.
     """
 
+    _fields = ("input_relation", "output_order", "forced")
     input_relation: frozenset[Pair]
     output_order: LinearOrder
-    forced: ForcedPair | None = None
+    forced: ForcedPair | None
+
+    def __init__(self, input_relation: frozenset[Pair], output_order: LinearOrder, forced: ForcedPair | None = None):
+        vars(self).update(input_relation=input_relation, output_order=output_order, forced=forced)
 
     def verify(self) -> bool:
         pos = self.output_order.positions
@@ -64,17 +67,20 @@ class ExtensionCertificate:
         )
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(_Record):
     """Enumeration result: the orders found plus a truncation marker.
 
     Hitting the limit is not an error; `truncated` says whether more
     extensions exist beyond the ones returned.
     """
 
+    _fields = ("orders", "truncated", "limit")
     orders: tuple[LinearOrder, ...]
     truncated: bool
     limit: int
+
+    def __init__(self, orders: tuple[LinearOrder, ...], truncated: bool, limit: int):
+        vars(self).update(orders=orders, truncated=truncated, limit=limit)
 
     def __len__(self) -> int:
         return len(self.orders)

@@ -20,9 +20,13 @@ malformed line, a line's structure before its tokens.
 
 from __future__ import annotations
 
-from .constructions import Bijection, Partition
+from typing import TYPE_CHECKING
+
 from .core import Pair, Poset, _valid_tokens, check_token
 from .errors import InvalidToken, ParseError
+
+if TYPE_CHECKING:  # the two readers that build these import them, so relation commands never load them
+    from .constructions import Bijection, Partition
 
 
 def _meaningful_lines(text: str) -> list[tuple[int, str]]:
@@ -120,6 +124,8 @@ def parse_partition(text: str, path: str | None = None) -> Partition:
     Once a separator appears, every segment must be a nonempty block;
     the Partition type rejects empty ones.
     """
+    from .constructions import Partition
+
     sections, cuts = _sections(text)
     blocks = tuple(_line_tokens(section, path) for section in sections)
     return Partition(blocks if cuts or blocks[0] else ())
@@ -127,6 +133,8 @@ def parse_partition(text: str, path: str | None = None) -> Partition:
 
 def parse_bijection(text: str, path: str | None = None) -> Bijection:
     """Read a bijection file: one mapping per line as `y -> x`."""
+    from .constructions import Bijection
+
     lines = _meaningful_lines(text)
     tokens: list[str] = []
     for lineno, line in lines:

@@ -34,10 +34,11 @@ included, each segment's draws following the previous segment's.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from operator import mod
 from typing import Sequence
+
+from .core import _Record
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,29 +97,30 @@ class _SplitMix64:
         return out
 
 
-@dataclass(frozen=True)
-class TieBreakPolicy:
+class TieBreakPolicy(_Record):
     """A reproducible rule for resolving free choices.
 
     ``seed`` is required for the seeded kind (64-bit unsigned) and must be
     absent for the other two.
     """
 
+    _fields = ("kind", "seed")
     kind: str
-    seed: int | None = None
+    seed: int | None
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
+    def __init__(self, kind: str, seed: int | None = None):
+        vars(self).update(kind=kind, seed=seed)
+        if kind not in KINDS:
             raise ValueError(
-                f"unknown tie-break kind {self.kind!r} (expected one of {', '.join(KINDS)})"
+                f"unknown tie-break kind {kind!r} (expected one of {', '.join(KINDS)})"
             )
-        if self.kind == "seeded":
-            if self.seed is None:
+        if kind == "seeded":
+            if seed is None:
                 raise ValueError("seeded tie-break requires a seed")
-            if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            if not isinstance(seed, int) or not 0 <= seed < 1 << 64:
                 raise ValueError("seed must be an unsigned 64-bit integer")
-        elif self.seed is not None:
-            raise ValueError(f"{self.kind} tie-break takes no seed")
+        elif seed is not None:
+            raise ValueError(f"{kind} tie-break takes no seed")
 
     @classmethod
     def input_order(cls) -> "TieBreakPolicy":

@@ -1,5 +1,8 @@
 """Command-line behavior: outputs, exit codes, flag handling."""
 
+import contextlib
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +10,7 @@ import sys
 import pytest
 
 from ordext import ForcedPair, Poset, TieBreakPolicy, parse_relation, szpilrajn, validate
-from ordext.cli import main
+from ordext.cli import COMMANDS, build_parser, main
 
 CHAIN = "a < b\nb < c\n"
 ANTICHAIN3 = "a\nb\nc\n---\n"
@@ -417,3 +420,95 @@ class TestUsage:
         code, out, _ = run("--help")
         assert code == 0
         assert "command" in out
+
+
+# Positional file arguments of each command; incomparable also takes any number of elements.
+POSITIONALS = {
+    "validate": 2, "closure": 1, "linearize": 1, "szpilrajn": 1, "enumerate": 1, "count": 1,
+    "incomparable": 1, "bipartition": 3, "blocks": 2, "interleave": 3, "dense-check": 3,
+}
+
+TIE_BREAK_COMMANDS = ["linearize", "szpilrajn", "bipartition", "blocks", "interleave"]
+
+
+def _usage_argvs() -> list[list[str]]:
+    """Command lines that argparse ends: help, usage errors and bad option values."""
+    argvs = [[], ["--help"], ["-h"], ["frobnicate"], ["frobnicate", "r"], ["--output", "machine", "count", "r"]]
+    for name, count in POSITIONALS.items():
+        argvs += [[name, "-h"], [name, "--help", "r"], [name]]
+        if name != "incomparable":
+            argvs.append([name, *"fghij"[:count + 1]])
+        argvs.append([name, *"fghij"[:count], "--output", "json"])
+    for name in TIE_BREAK_COMMANDS:
+        files = list("fghij"[:POSITIONALS[name]])
+        for spelling in ("seed:", "seed:-1", "seed:18446744073709551616", "SEED:1", "sorted", "lex:1"):
+            argvs.append([name, *files, "--tie-break", spelling])
+        argvs.append([name, *files, "--tie-break"])
+    for value in ("-1", "x", "1.5", "", "0x10", "3e0"):
+        argvs += [["enumerate", "r", "--limit", value], ["count", "--cap", value, "r"]]
+    argvs += [
+        ["count", "--tie-break", "lex", "r"],
+        ["closure", "r", "--limit", "1"],
+        ["validate", "--force", "a", "b", "r"],
+        ["szpilrajn", "r", "--force", "a"],
+        ["dense-check", "o", "t1", "t2", "--strict"],
+        ["incomparable", "--auto-close", "r"],
+    ]
+    return argvs
+
+
+class TestParserBytes:
+    """`main` builds the parser of the command it is given alone; every byte it
+    writes, and its exit code, match the parser with every command."""
+
+    def test_table_names_every_command(self):
+        assert list(COMMANDS) == list(POSITIONALS)
+
+    @pytest.mark.parametrize("argv", _usage_argvs(), ids=repr)
+    def test_matches_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = (full.value.code, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected
+
+
+class TestWriteFailure:
+    """A write to stdout that fails ends in one `error:` line and exit 2, not a traceback."""
+
+    MESSAGE = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_full_device(self, tmp_path, command, unbuffered):
+        target = tmp_path / "r.txt"
+        target.write_text(DIAMOND, encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ordext", command, str(target)],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr.decode()) == (2, self.MESSAGE)
+
+    def test_writer_error_in_process(self, tmp_path, capsys):
+        target = tmp_path / "r.txt"
+        target.write_text(DIAMOND, encoding="utf-8")
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return fd
+
+        try:
+            with contextlib.redirect_stdout(Full()):
+                code = main(["linearize", str(target)])
+        finally:
+            os.close(fd)
+        assert (code, capsys.readouterr().err) == (2, self.MESSAGE)
