@@ -3,9 +3,16 @@
 One subcommand per task; every subcommand takes `--output`, and every
 other flag belongs to the subcommand that uses it.  Exit status 0 on
 success, 1 for domain errors (cycles, comparable forced pairs,
-non-disjoint subsets, broken bijections), 2 for malformed files or bad
-usage.  Output is a pure function of the inputs: identical files, flags,
-and seeds produce byte-identical bytes on every run.
+non-disjoint subsets, broken bijections), 2 for malformed or unreadable
+files, bad usage, and output that cannot be written (`error: cannot
+write output: ...`, say on a full disk).  A reader that closes the pipe
+early ends the run quietly with status 1.  Output is a pure function of
+the inputs: identical files, flags, and seeds produce byte-identical
+bytes on every run.
+
+A run builds the parser of its command alone, and imports the modules
+that command uses; `--help`, usage errors and an unknown command build
+the parser of every command.
 
 The `validate` command checks a relation file exactly as given (opt-in
 closure via --auto-close).  The operating commands (linearize,

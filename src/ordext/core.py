@@ -38,7 +38,7 @@ class _Record:
     """Base of the frozen value types: `==` and `hash` over the values of `_fields`
     (for the same class only), a repr that names them, and no assignment or deletion
     of any attribute, raising `dataclasses.FrozenInstanceError` as a frozen dataclass
-    does.  Each `__init__` stores its values with `vars(self).update`."""
+    does.  Constructors store their values in the instance dict directly."""
 
     _fields: tuple[str, ...] = ()
 

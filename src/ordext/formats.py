@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .core import Pair, Poset, _valid_tokens, check_token
 from .errors import InvalidToken, ParseError
 
-if TYPE_CHECKING:  # the two readers that build these import them, so relation commands never load them
+if TYPE_CHECKING:  # imported by the two readers that build them, so the others never load constructions
     from .constructions import Bijection, Partition
 
 
