@@ -27,8 +27,11 @@ import argparse
 import os
 import sys
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .core import (
+    DEFAULT_COUNT_CAP,
+    DEFAULT_ENUM_LIMIT,
     Poset,
     _closure,
     check_ground,
@@ -39,15 +42,6 @@ from .core import (
     validate,
 )
 from .errors import OrderError, ParseError
-from .extension import (
-    DEFAULT_COUNT_CAP,
-    DEFAULT_ENUM_LIMIT,
-    ForcedPair,
-    _extensions,
-    count_linear_extensions,
-    extend_with_pair,
-    linear_extension,
-)
 from .formats import (
     format_relation,
     parse_bijection,
@@ -55,7 +49,9 @@ from .formats import (
     parse_relation,
     parse_sequence,
 )
-from .policy import TieBreakPolicy
+
+if TYPE_CHECKING:  # `_policy_arg` imports it when a tie-break is given, as handlers import `extension`
+    from .policy import TieBreakPolicy
 
 ENV_ENUM_LIMIT = "ORDEXT_ENUM_LIMIT"
 
@@ -74,6 +70,8 @@ def _load_poset(path: str) -> Poset:
 
 
 def _policy_arg(text: str) -> TieBreakPolicy:
+    from .policy import TieBreakPolicy
+
     try:
         return TieBreakPolicy.parse(text)
     except ValueError as exc:
@@ -117,6 +115,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
+    from .extension import linear_extension
+
     order = linear_extension(_load_poset(args.relation), args.tie_break)
     _emit(order.sequence, args.output)
     return 0
@@ -124,6 +124,8 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 def cmd_szpilrajn(args: argparse.Namespace) -> int:
     # The two stages of `szpilrajn`, without the certificate, which would build every input pair.
+    from .extension import ForcedPair, extend_with_pair, linear_extension
+
     poset = _load_poset(args.relation)
     if args.force:
         poset = extend_with_pair(poset, ForcedPair(*args.force))
@@ -132,6 +134,8 @@ def cmd_szpilrajn(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .extension import _extensions
+
     poset = _load_poset(args.relation)
     limit = args.limit
     if limit is None:
@@ -156,6 +160,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .extension import count_linear_extensions
+
     poset = _load_poset(args.relation)
     sys.stdout.write(f"{count_linear_extensions(poset, args.cap)}\n")
     return 0

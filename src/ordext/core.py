@@ -6,21 +6,23 @@ of ordered pairs over a ground sequence.  The ground keeps its input
 order and doubles as the default tie-break source.  A `Poset` stores
 the relation only as successor and predecessor bitmasks indexed by
 ground position, verified when `Poset` builds them from pairs and closed
-by construction in `_close`; its pairs are built on request.  The public
-constructors verify everything they are given; results correct by
-construction are assembled by `_closed_poset` and `_linear_order`
-without a second check.  Tokens are checked as one batch by `_valid_tokens`
-and walked one by one only to name a witness.  All values are immutable
-after construction and every operation is a pure function of its inputs.
+by construction in `_close`; its pairs are built on request.  `_close`
+orders the nodes with a plain queue of its own (linearization's
+`extension.source_order` ranks a frontier, which closing has no use for)
+and records each position's covers, the transitive reduction that
+linearization walks.  The public constructors verify everything they are
+given; results correct by construction are assembled by `_closed_poset`
+and `_linear_order` without a second check.  Tokens are checked as one
+batch by `_valid_tokens` and walked one by one only to name a witness.
+All values are immutable after construction and every operation is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import cached_property
-from itertools import combinations
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, compress, repeat
+from typing import Iterable, Sequence
 
 from .errors import (
     AntisymmetryViolation,
@@ -32,6 +34,10 @@ from .errors import (
 )
 
 Pair = tuple[str, str]
+
+DEFAULT_ENUM_LIMIT = 10**6
+
+DEFAULT_COUNT_CAP = 20
 
 
 class _Record:
@@ -120,6 +126,9 @@ def check_ground(tokens: Iterable[str]) -> tuple[str, ...]:
     return seq
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask: int) -> list[int]:
     """Set-bit positions of `mask`, ascending; taken top first, so each step works on a shorter int."""
     out = []
@@ -161,26 +170,6 @@ def _reject(stray: list[Pair], index: dict[str, int]) -> None:
             if tok not in index:
                 raise UnknownElement(tok)
         raise AntisymmetryViolation((x, x))
-
-
-def source_order(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], pick: Callable) -> list[int]:
-    """Positions of `nodes` in source-removal order (Kahn 1962): each step hands `pick` the
-    elements left without a predecessor, in ground order, and removes the one it returns.
-    A result shorter than `nodes` means the masks hold a cycle."""
-    index = {tok: i for i, tok in enumerate(nodes)}
-    indegree = [mask.bit_count() for mask in pred]
-    available = [tok for tok, d in zip(nodes, indegree) if not d]
-    out: list[int] = []
-    while available:
-        chosen = pick(available)
-        available.remove(chosen)
-        i = index[chosen]
-        out.append(i)
-        for j in bits(succ[i]):
-            indegree[j] -= 1
-            if not indegree[j]:
-                insort(available, nodes[j], key=index.__getitem__)
-    return out
 
 
 class Poset(_Record):
@@ -238,6 +227,24 @@ class Poset(_Record):
     def relation(self) -> frozenset[Pair]:
         """The relation as a set of pairs, built from `succ` the first time it is read."""
         return frozenset(self.sorted_pairs())
+
+    @cached_property
+    def _cover(self) -> tuple[int, ...]:
+        """Per position, the bitmask of the positions directly above it (the transitive
+        reduction).  `_close` stores it; a verified or restricted poset derives it on first
+        use, one minimal position of each successor mask at a time: walk down through `pred`
+        from any position left until none left is below, then drop it and all above it."""
+        cover = []
+        for mask in self.succ:
+            rest, row = mask, 0
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                while below := self.pred[j] & rest:
+                    j = below.bit_length() - 1
+                row |= 1 << j
+                rest &= ~(self.succ[j] | 1 << j)
+            cover.append(row)
+        return tuple(cover)
 
     def __repr__(self) -> str:
         return f"Poset(ground={self.ground!r}, relation={self.relation!r})"
@@ -311,22 +318,41 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[
 
 def _close(nodes: Sequence[str], succ: list[int], pred: list[int]) -> Poset | None:
     """The poset of the reachability closure, or None on a cycle, found before any mask changes;
-    `succ` and its transpose `pred` are closed in place along one topological order."""
-    order = source_order(nodes, succ, pred, itemgetter(0))
+    `succ` and its transpose `pred` are closed in place along any topological order, which a
+    plain queue gives: a node joins it once its last predecessor has."""
+    order = [i for i, mask in enumerate(pred) if not mask]
+    indegree = [mask.bit_count() for mask in pred]
+    for i in order:
+        for j in bits(succ[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
     if len(order) < len(nodes):
         return None
-    # Backwards a node reaches its successors and all they reach; forwards, its predecessors'.
-    for masks, walk in ((succ, order[::-1]), (pred, order)):
-        for i in walk:
-            for j in bits(masks[i]):
-                masks[i] |= masks[j]
-    return _closed_poset(nodes, succ, pred)
+    # Backwards a node reaches its successors and all they reach, and it covers the successors
+    # that no other successor reaches; forwards, it is reached from its predecessors and theirs.
+    cover = [0] * len(nodes)
+    for i in reversed(order):
+        reach = 0
+        for j in bits(succ[i]):
+            reach |= succ[j]
+        cover[i] = succ[i] & ~reach
+        succ[i] |= reach
+    for i in order:
+        for j in bits(pred[i]):
+            pred[i] |= pred[j]
+    return _closed_poset(nodes, succ, pred, cover)
 
 
-def _closed_poset(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int]) -> Poset:
-    """The poset of masks already closed, acyclic and transposed, taken without verification."""
+def _closed_poset(
+    nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], cover: Sequence[int] | None = None
+) -> Poset:
+    """The poset of masks already closed, acyclic and transposed, taken without verification;
+    `cover`, when given, is its transitive reduction."""
     poset = object.__new__(Poset)
     vars(poset).update(ground=tuple(nodes), succ=tuple(succ), pred=tuple(pred))
+    if cover is not None:
+        vars(poset)["_cover"] = tuple(cover)
     return poset
 
 
@@ -420,8 +446,9 @@ def incomparable_pairs(poset: Poset) -> list[Pair]:
     """
     g = poset.ground
     full = (1 << len(g)) - 1
-    return [
-        (x, g[j])
-        for i, x in enumerate(g)
-        for j in bits(full & ~((2 << i) - 1) & ~(poset.succ[i] | poset.pred[i]))
-    ]
+    out: list[Pair] = []
+    for i, x in enumerate(g):
+        row = full & ~((2 << i) - 1) & ~(poset.succ[i] | poset.pred[i])
+        if row:  # decoded in C: the row's binary digits, lowest first, select from the ground
+            out += zip(repeat(x), compress(g, bin(row)[:1:-1].encode().translate(_DIGITS)))
+    return out

@@ -1,30 +1,33 @@
 """Order extension: adjoin one forced pair, then linearize.
 
 The pipeline keeps its two stages separate.  `extend_with_pair` ORs one
-incomparable pair, and the pairs it forces, into the closed masks;
-`linear_extension` removes sources one at a time with a tie-break policy
-deciding among candidates; `szpilrajn` chains the two and returns a
-certificate a caller can re-check.  Enumeration tries every such removal
-order with one iterative walk, and a downset-counting dynamic program
-counts them one comparability component at a time; both cross-examine
-the fast path.  Results are correct by construction and are built
-without a second verification.
+incomparable pair, and the pairs it forces, into the closed masks and
+updates the covers; `linear_extension` removes sources one at a time
+along the covers with a tie-break policy deciding among candidates (the
+closure in `core` orders its nodes without `source_order`); `szpilrajn`
+chains the two and returns a certificate a caller can re-check, whose
+input relation is built when first read.  Enumeration tries every such
+removal order with one iterative walk, and a downset-counting dynamic
+program counts them one comparability component at a time; both
+cross-examine the fast path.  Results are correct by construction and
+are built without a second verification.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import insort
+from functools import cached_property
 from itertools import chain, islice
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, bits, check_token, source_order
+from .core import DEFAULT_COUNT_CAP, DEFAULT_ENUM_LIMIT  # noqa: F401  (public names of this module too)
+from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, bits, check_token
 from .errors import CapExceeded, NotIncomparable
-from .policy import TieBreakPolicy, _breaker
 
-DEFAULT_ENUM_LIMIT = 10**6
-
-DEFAULT_COUNT_CAP = 20
+if TYPE_CHECKING:  # a policy given is already loaded, and without one none is needed
+    from .policy import TieBreakPolicy
 
 
 class ForcedPair(_Record):
@@ -57,6 +60,11 @@ class ExtensionCertificate(_Record):
 
     def __init__(self, input_relation: frozenset[Pair], output_order: LinearOrder, forced: ForcedPair | None = None):
         vars(self).update(input_relation=input_relation, output_order=output_order, forced=forced)
+
+    @cached_property
+    def input_relation(self) -> frozenset[Pair]:
+        """Read, the first time, off the poset a certificate of :func:`szpilrajn` extends."""
+        return self._poset.relation
 
     def verify(self) -> bool:
         pos = self.output_order.positions
@@ -104,12 +112,41 @@ def extend_with_pair(poset: Poset, pair: ForcedPair) -> Poset:
         if poset.succ[x] >> y & 1:
             raise NotIncomparable(a, b, held=(poset.ground[x], poset.ground[y]))
     below, above = poset.pred[i] | 1 << i, poset.succ[j] | 1 << j
-    succ, pred = list(poset.succ), list(poset.pred)
+    succ, pred, cover = list(poset.succ), list(poset.pred), list(poset._cover)
     for x in bits(below):
         succ[x] |= above
+        cover[x] &= ~above  # a cover from below(a) to above(b) now runs through a < b
     for y in bits(above):
         pred[y] |= below
-    return _closed_poset(poset.ground, succ, pred)
+    cover[i] |= 1 << j
+    return _closed_poset(poset.ground, succ, pred, cover)
+
+
+def source_order(
+    succ: Sequence[int], pred: Sequence[int], ranked: Sequence[int], pick: Callable | None = None
+) -> list[int]:
+    """Positions in source-removal order (Kahn 1962) along the edges `succ`.
+
+    Position j joins the frontier once every position in `pred[j]` is
+    placed.  The frontier is a list of negated ranks, ascending, where
+    `ranked[r]` is the position of rank r, so the least rank is last and
+    leaves next; `pick`, given, chooses instead from the frontier listed by
+    ascending rank.
+    """
+    rank = sorted(range(len(ranked)), key=ranked.__getitem__)  # the inverse permutation
+    frontier = sorted([-rank[i] for i, mask in enumerate(pred) if not mask])
+    out: list[int] = []
+    placed = 0
+    while frontier:
+        r = frontier.pop() if pick is None else frontier.pop(frontier.index(pick(frontier[::-1])))
+        i = ranked[-r]
+        out.append(i)
+        if succ[i]:  # a position with no edges out is below nothing, so `placed` skips it
+            placed |= 1 << i
+            for j in reversed(bits(succ[i])):  # in input order these ranks mostly append
+                if pred[j] & placed == pred[j]:
+                    insort(frontier, -rank[j])
+    return out
 
 
 def linear_extension(
@@ -118,12 +155,19 @@ def linear_extension(
     """Linearize by repeated source removal.
 
     At each step the elements with no remaining predecessors form the
-    candidate set, held in ground order; `policy` picks which one leaves
-    next.  The loop is :func:`core.source_order`, which the closure uses
-    too.  Output is a pure function of (poset, policy).
+    candidate set; `policy` picks which one leaves next.  The loop is
+    :func:`source_order` over the covers, which readies an element when
+    its last cover from below is placed, so the candidates are those of
+    removal over every pair.  Input order and lexicographic order rank
+    by ground position and by token and take the least rank; seeded picks
+    among the candidates in ground order, since its draws pick by position.
+    Output is a pure function of (poset, policy).
     """
-    order = source_order(poset.ground, poset.succ, poset.pred, _breaker(policy).pick)
-    return _linear_order(tuple([poset.ground[i] for i in order]))
+    g = poset.ground
+    kind = "input-order" if policy is None else policy.kind
+    ranked = sorted(range(len(g)), key=g.__getitem__) if kind == "lexicographic" else range(len(g))
+    order = source_order(poset._cover, poset.pred, ranked, policy.start().pick if kind == "seeded" else None)
+    return _linear_order(tuple([g[i] for i in order]))
 
 
 def szpilrajn(
@@ -135,13 +179,13 @@ def szpilrajn(
 
     Exactly the two-stage pipeline: adjoin the forced pair and close
     (when present), then linearize.  The certificate records the original
-    relation, the forced pair, and the resulting order.
+    relation, the forced pair, and the resulting order; the relation is
+    built from `poset` when it is first read.
     """
     augmented = poset if forced is None else extend_with_pair(poset, forced)
-    order = linear_extension(augmented, policy)
-    return ExtensionCertificate(
-        input_relation=poset.relation, output_order=order, forced=forced
-    )
+    certificate = object.__new__(ExtensionCertificate)
+    vars(certificate).update(_poset=poset, output_order=linear_extension(augmented, policy), forced=forced)
+    return certificate
 
 
 def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:

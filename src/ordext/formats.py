@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import Pair, Poset, _valid_tokens, check_token
+from .core import Pair, Poset, _valid_tokens, bits, check_token
 from .errors import InvalidToken, ParseError
 
 if TYPE_CHECKING:  # imported by the two readers that build them, so the others never load constructions
@@ -152,9 +152,13 @@ def format_relation(poset: Poset) -> str:
 
     Pairs are ordered by ground position of both endpoints, so equal
     posets serialize to identical bytes.  Output re-parses to the same
-    ground and relation.
+    ground and relation.  Each nonempty row of the successor masks is
+    written by one join, its lines' common head `x < ` as the separator.
     """
-    lines = list(poset.ground)
-    lines.append("---")
-    lines.extend(f"{x} < {y}" for x, y in poset.sorted_pairs())
-    return "\n".join(lines) + "\n"
+    g = poset.ground
+    rows = []
+    for x, mask in zip(g, poset.succ):
+        if mask:
+            head = f"\n{x} < "
+            rows.append(head + head.join([g[j] for j in bits(mask)]))
+    return "\n".join([*g, "---"]) + "".join(rows) + "\n"

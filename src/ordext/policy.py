@@ -25,10 +25,13 @@ and Flood 2014), so :meth:`_SplitMix64.draws` computes a call's draws
 together in 128-bit lanes of one int, and :meth:`TieBreaker.pick` finds
 the element the shuffle would put first without shuffling.
 
-One operation run spends one stream: :func:`_breaker`, the one place a
-breaker starts, reads ``policy=None`` as input order, and :func:`_layout`
-arranges an operation's segments in turn with that breaker, empty ones
-included, each segment's draws following the previous segment's.
+One operation run spends one stream, from one :meth:`TieBreakPolicy.start`.
+For the constructions, :func:`_breaker` starts it, reading
+``policy=None`` as input order, and :func:`_layout` arranges an
+operation's segments in turn with that breaker, empty ones included,
+each segment's draws following the previous segment's.  Linearization
+reads ``policy=None`` as input order itself, so without a policy it
+never loads this module.
 """
 
 from __future__ import annotations

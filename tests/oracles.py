@@ -98,6 +98,12 @@ def closure_fixpoint(pairs) -> set[tuple[str, str]]:
         rel |= new
 
 
+def transitive_reduction(poset: Poset) -> set[tuple[str, str]]:
+    """The closed pairs minus the two-step ones: the pairs with nothing strictly between."""
+    rel = poset.relation
+    return set(rel) - {(x, z) for x, y in rel for w, z in rel if y == w}
+
+
 def extensions_by_filter(poset: Poset) -> set[tuple[str, ...]]:
     """All linear extensions, found by filtering every permutation."""
     out = set()

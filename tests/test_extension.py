@@ -12,6 +12,7 @@ from ordext import (
     ForcedPair,
     LinearOrder,
     NotIncomparable,
+    Poset,
     TieBreakPolicy,
     UnknownElement,
     count_linear_extensions,
@@ -19,10 +20,12 @@ from ordext import (
     extend_with_pair,
     incomparable_pairs,
     linear_extension,
+    restrict,
     szpilrajn,
     transitive_closure,
     validate,
 )
+from ordext.core import bits
 from ordext.extension import _extensions
 
 from helpers import (
@@ -41,6 +44,7 @@ from oracles import (
     is_total,
     linearize_by_kahn,
     strict_order_axioms_hold,
+    transitive_reduction,
 )
 
 def disjoint_chain_lengths(rng, n, max_downsets=4000):
@@ -241,6 +245,41 @@ class TestLinearExtensionMatchesKahnOracle:
         self.check(antichain(n), policy_seed)
 
 
+class TestCoversAreTheTransitiveReduction:
+    """`linear_extension` runs over the covers: `_close` records them as it closes,
+    `extend_with_pair` updates them, and verified and restricted posets derive them."""
+
+    @staticmethod
+    def covers(poset):
+        g = poset.ground
+        return {(g[i], g[j]) for i, mask in enumerate(poset._cover) for j in bits(mask)}
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 25), st.floats(0, 0.5), st.integers(0, 2**32), st.floats(0, 1))
+    def test_every_way_a_poset_is_built(self, n, density, seed, keep):
+        rng = random.Random(seed)
+        closed = random_poset(rng, n, density)
+        assert "_cover" in vars(closed)
+        built = [closed, Poset(closed.ground, closed.relation)]
+        built.append(restrict(closed, [tok for tok in closed.ground if rng.random() < keep]))
+        extended = rng.choice(built)
+        while len(built) < 7 and (free := incomparable_pairs(extended)):
+            extended = extend_with_pair(extended, ForcedPair(*rng.choice(free)[::rng.choice((1, -1))]))
+            assert "_cover" in vars(extended)
+            built.append(extended)
+        for poset in built:
+            assert self.covers(poset) == transitive_reduction(poset)
+
+
+class TestWideAntichains:
+    def test_lexicographic_and_input_order(self):
+        rng = random.Random(36)
+        ground = list(dict.fromkeys(f"t{rng.randrange(10**9)}" for _ in range(3000)))
+        poset = validate(ground, [])
+        assert linear_extension(poset, TieBreakPolicy.lexicographic()).sequence == tuple(sorted(ground))
+        assert linear_extension(poset).sequence == tuple(ground)
+
+
 class TestEnumeratedOrdersMatchVerifiedOnes:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(0, 7), st.floats(0, 0.5), st.integers(0, 2**32))
@@ -322,6 +361,21 @@ class TestSzpilrajn:
         cert = szpilrajn(poset, ForcedPair("y", "x"))
         assert cert.input_relation == poset.relation
         assert cert.forced == ForcedPair("y", "x")
+
+    @pytest.mark.parametrize("read", [lambda c, e: c == e, lambda c, e: hash(c) == hash(e),
+                                      lambda c, e: repr(c) == repr(e), lambda c, e: c.verify() == e.verify()],
+                             ids=["eq", "hash", "repr", "verify"])
+    def test_certificate_builds_the_input_relation_when_read(self, read):
+        rng = random.Random(37)
+        for _ in range(20):
+            poset = random_poset(rng, rng.randrange(2, 9))
+            free = incomparable_pairs(poset)
+            forced = ForcedPair(*free[0]) if free else None
+            cert = szpilrajn(poset, forced, random_policy(rng))
+            assert "input_relation" not in vars(cert)
+            eager = ExtensionCertificate(poset.relation, cert.output_order, forced)
+            assert read(cert, eager)
+            assert vars(cert)["input_relation"] is poset.relation
 
     def test_no_forced_pair(self):
         poset = diamond()

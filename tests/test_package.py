@@ -3,6 +3,7 @@ and the record classes measured against frozen dataclasses."""
 
 import inspect
 import itertools
+import json
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields
@@ -72,7 +73,8 @@ class TestLazyPackage:
 
 class TestStartupImports:
     """`python -X importtime` lists every module a run loads after start-up; a relation
-    command loads neither `dataclasses`, its `inspect` nor `ordext.constructions`."""
+    command loads neither `dataclasses`, its `inspect` nor `ordext.constructions`.  No
+    command loads `ordext.extension` or `ordext.policy` unless it calls them."""
 
     @pytest.mark.parametrize("argv", [["count"], ["linearize", "--tie-break", "seed:3"], ["validate", "--auto-close"]])
     def test_relation_commands(self, tmp_path, argv):
@@ -91,6 +93,39 @@ class TestStartupImports:
         loaded = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
         assert "ordext.constructions" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    FILES = {"r": "a < b\nb < c\na < c\n", "g": "a\nb\nc\n", "a": "a\n", "b": "c\n", "p": "a\n---\nb\n",
+             "y": "a\n", "x": "b\n", "phi": "a -> b\n"}
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["validate", "r"], {"ordext.extension", "ordext.policy"}),
+        (["validate", "--auto-close", "r", "g"], {"ordext.extension", "ordext.policy"}),
+        (["closure", "r"], {"ordext.extension", "ordext.policy"}),
+        (["incomparable", "r"], {"ordext.extension", "ordext.policy"}),
+        (["incomparable", "r", "a", "c"], {"ordext.extension", "ordext.policy"}),
+        (["linearize", "r"], {"ordext.policy"}),
+        (["szpilrajn", "r"], {"ordext.policy"}),
+        (["enumerate", "r"], {"ordext.policy"}),
+        (["count", "r"], {"ordext.policy"}),
+        (["bipartition", "g", "a", "b", "--tie-break", "seed:1"], {"ordext.extension"}),
+        (["blocks", "g", "p"], {"ordext.extension"}),
+        (["interleave", "y", "x", "phi"], {"ordext.extension"}),
+        (["dense-check", "g", "a", "b"], {"ordext.extension"}),
+    ], ids=lambda value: " ".join(sorted(value) if isinstance(value, set) else value))
+    def test_modules_a_command_does_not_call(self, tmp_path, argv, absent):
+        """`sys.modules` after `main` returns: only the relation commands that extend or
+        linearize load `extension`, and only a tie-break option loads `policy`."""
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        script = (
+            "import json, sys\nfrom ordext.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)"
+        )
+        run = _run("-c", script, *argv, cwd=tmp_path)
+        code, loaded = json.loads(run.stderr.splitlines()[-1])
+        assert code == 0
+        assert "ordext.cli" in loaded
+        assert not absent & set(loaded)
 
 
 def _samples() -> dict[type, list]:
