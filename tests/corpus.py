@@ -11,10 +11,13 @@ in behaviour, and name that change in CHANGES.md.
 
 A CLI case runs `ordext.cli.main` in-process from a temporary directory
 that holds its files under relative names, and its bytes are the exit
-code, stdout and stderr.  A library case calls `parse_relation` or
-`transitive_closure`, and its bytes are the value, or the error's class,
-message and witness attributes.  Argparse help and usage text is left
-out: its bytes depend on the terminal width and the Python version.
+code, stdout and stderr.  A library case calls one public function or
+constructor, building the poset, partition, bijection, forced pair or
+policy it takes from plain data first, and its bytes are the value (sets
+sorted, records spelled out field by field, a poset by its ground and
+sorted pairs) or the error's class, message and witness attributes.
+Argparse help and usage text is left out: its bytes depend on the
+terminal width and the Python version.
 """
 
 from __future__ import annotations
@@ -29,7 +32,25 @@ import sys
 import tempfile
 from pathlib import Path
 
-from ordext import parse_relation, transitive_closure
+from ordext import (
+    Bijection,
+    ForcedPair,
+    Partition,
+    Poset,
+    TieBreakPolicy,
+    bipartition_order,
+    count_linear_extensions,
+    dense_interleave,
+    enumerate_linear_extensions,
+    extend_with_pair,
+    linear_extension,
+    parse_relation,
+    partition_block_order,
+    restrict,
+    szpilrajn,
+    transitive_closure,
+    validate,
+)
 from ordext.cli import ENV_ENUM_LIMIT, main
 
 DIGESTS = Path(__file__).resolve().parent / "corpus.json"
@@ -306,21 +327,219 @@ def _construction_cases(rng: random.Random) -> dict[str, tuple]:
     return cases
 
 
+# Tokens that fail `check_token`, non-strings among them, and one no ground holds.
+_BAD_TOKENS = ["", "a b", "x<y", "#c", "---", "\xa0", 7, None, b"a", ("t",), [1]]
+_UNKNOWN = "zz"
+
+
+def _closed(pairs: list[tuple[str, str]]) -> list[tuple[str, str]]:
+    """Acyclic `pairs` with every pair they imply, sorted."""
+    closed = set(pairs)
+    while grown := {(x, z) for x, y in closed for w, z in closed if y == w} - closed:
+        closed |= grown
+    return sorted(closed)
+
+
+def _acyclic(rng: random.Random, names: list[str]) -> list[tuple[str, str]]:
+    """Random pairs over `names` along a hidden order, unclosed."""
+    topo = rng.sample(names, len(names))
+    density = rng.random()
+    return [(x, y) for i, x in enumerate(topo) for y in topo[i + 1 :] if rng.random() < density]
+
+
+def _spoiled(rng: random.Random, tokens: list) -> list:
+    """`tokens` as given, or with a repeated, a bad or an unknown token put in."""
+    tokens = list(tokens)
+    extra = rng.choice([[], [rng.choice(_BAD_TOKENS)], [_UNKNOWN], *([[rng.choice(tokens)]] if tokens else [])])
+    at = rng.randrange(len(tokens) + 1)
+    return tokens[:at] + extra + tokens[at:]
+
+
+def _raw_relation(rng: random.Random) -> tuple[list, list]:
+    """A ground and pairs over it, closed or not, with up to two defects: a bad, repeated or
+    unknown token, a self-loop, a two- or three-element cycle, or a repeated pair."""
+    names = rng.sample(_NAMES, rng.randrange(2, 7))
+    pairs = _acyclic(rng, names)
+    if rng.random() < 0.5:
+        pairs = _closed(pairs)
+    ground = names[:]
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        defect = rng.randrange(6)
+        x, y, z = rng.sample(names, 2) + [rng.choice(names)]
+        if defect == 0:
+            ground = _spoiled(rng, ground)
+        elif defect == 1:
+            pairs.append(rng.choice([(x, rng.choice(_BAD_TOKENS)), (rng.choice(_BAD_TOKENS), y), (x, _UNKNOWN)]))
+        elif defect == 2:
+            pairs.append((x, x))
+        elif defect == 3:
+            pairs += [(x, y), (y, x)] if z in (x, y) else [(x, y), (y, z), (z, x)]
+        elif pairs:
+            pairs.append(rng.choice(pairs))
+    rng.shuffle(pairs)
+    return ground, pairs
+
+
+def _poset_spec(rng: random.Random, how: str | None = None) -> tuple:
+    """A good poset as `_poset` builds it: auto-closed from raw pairs, verified from closed
+    pairs, or auto-closed and then restricted to a subset of its ground."""
+    names = rng.sample(_NAMES, rng.randrange(1, 8))
+    pairs = _acyclic(rng, names)
+    how = how or rng.choice(["validate", "Poset", "restrict"])
+    if how == "Poset":
+        pairs = _closed(pairs)
+    rng.shuffle(pairs)
+    subset = tuple(rng.sample(names, rng.randrange(len(names) + 1))) if how == "restrict" else None
+    return how, tuple(names), pairs, subset
+
+
+def _poset(how: str, ground: tuple, pairs: list, subset: tuple | None) -> Poset:
+    if how == "Poset":
+        return Poset(ground, pairs)
+    poset = validate(ground, pairs, auto_close=True)
+    return poset if subset is None else restrict(poset, subset)
+
+
+def _policy(spec: str | None) -> TieBreakPolicy | None:
+    return None if spec is None else TieBreakPolicy.parse(spec)
+
+
+def _library_call_cases(rng: random.Random) -> dict[str, tuple]:
+    """Library cases of the public calls beyond the two readers: raw relations into `Poset`
+    and `validate`, good posets through restriction, extension, linearization, enumeration
+    and counting, and bad inputs into the constructions and their record types."""
+    cases: dict[str, tuple] = {}
+    for i in range(60):
+        ground, pairs = _raw_relation(rng)
+        cases[f"lib/Poset/{i}"] = ("Poset", (ground, pairs))
+        cases[f"lib/validate/{i}"] = ("validate", (ground, pairs, False))
+        cases[f"lib/validate-auto/{i}"] = ("validate", (ground, pairs, True))
+    for i in range(30):
+        spec = _poset_spec(rng, rng.choice(["validate", "Poset"]))
+        cases[f"lib/restrict/{i}"] = ("restrict", (spec, tuple(_spoiled(rng, rng.sample(spec[1], rng.randrange(len(spec[1]) + 1))))))
+    for i in range(40):
+        spec = _poset_spec(rng, rng.choice(["validate", "Poset"]))
+        names, closed = spec[1], set(_closed(spec[2]))
+        x, y = rng.choice(names), rng.choice(names)
+        free = [(a, b) for a in names for b in names if a != b and (a, b) not in closed and (b, a) not in closed]
+        pair = rng.choice([
+            (x, y), (x, x), (x, _UNKNOWN), (_UNKNOWN, y), (x, rng.choice(_BAD_TOKENS)),
+            *([rng.choice(sorted(closed))] if closed else []), *([rng.choice(free)] * 3 if free else []),
+        ])
+        cases[f"lib/extend_with_pair/{i}"] = ("extend_with_pair", (spec, *pair))
+    for i in range(24):
+        spec = _poset_spec(rng)
+        names = list(spec[3] if spec[0] == "restrict" else spec[1])
+        policies = [None, "input", "lex", f"seed:{rng.getrandbits(64)}", f"seed:{rng.getrandbits(64)}"]
+        for policy in policies:
+            forced = rng.choice([None, tuple(rng.sample(names, 2)) if len(names) > 1 else None])
+            cases[f"lib/linear_extension/{i}/{policy}"] = ("linear_extension", (spec, policy))
+            cases[f"lib/szpilrajn/{i}/{policy}"] = ("szpilrajn", (spec, forced, policy))
+        cases[f"lib/enumerate_linear_extensions/{i}"] = ("enumerate_linear_extensions", (spec, rng.randrange(6)))
+        cases[f"lib/count_linear_extensions/{i}"] = ("count_linear_extensions", (spec, rng.choice([None, 3, 6])))
+    policies = [None, "input", "lex", "seed:5", "seed:18446744073709551615"]
+    for i in range(25):
+        names = rng.sample(_NAMES, rng.randrange(3, 9))
+        k = rng.randrange(1, len(names))
+        parts = [names, rng.sample(names[:k], rng.randrange(k + 1)), rng.sample(names[k:], rng.randrange(len(names) - k + 1))]
+        if parts[2] and rng.random() < 0.3:  # overlap
+            parts[1].append(rng.choice(parts[2]))
+        n = rng.randrange(3)
+        parts[n] = _spoiled(rng, parts[n])
+        cases[f"lib/bipartition_order/{i}"] = ("bipartition_order", (*map(tuple, parts), rng.choice(policies)))
+    for i in range(25):
+        names = rng.sample(_NAMES, rng.randrange(2, 9))
+        placed = rng.sample(names, rng.randrange(len(names) + 1))
+        cuts = sorted(rng.sample(range(1, len(placed)), rng.randrange(len(placed)))) if len(placed) > 1 else []
+        blocks = [placed[a:b] for a, b in zip([0, *cuts], [*cuts, len(placed)])] if placed else []
+        defect = rng.randrange(5)
+        if defect == 0:
+            blocks.insert(rng.randrange(len(blocks) + 1), [])
+        elif defect == 1 and len(blocks) > 1:  # overlap
+            a, b = rng.sample(range(len(blocks)), 2)
+            blocks[a].append(rng.choice(blocks[b]))
+        elif defect == 2 and blocks:
+            n = rng.randrange(len(blocks))
+            blocks[n] = _spoiled(rng, blocks[n])
+        elif defect < 4:
+            names = _spoiled(rng, names)
+        blocks = tuple(map(tuple, blocks))
+        cases[f"lib/partition_block_order/{i}"] = ("partition_block_order", (tuple(names), blocks, rng.choice(policies)))
+        cases[f"lib/Partition/{i}"] = ("Partition", (blocks,))
+    for i in range(25):
+        names = rng.sample(_NAMES, 2 * rng.randrange(1, 5))
+        ys, xs = names[: len(names) // 2], names[len(names) // 2 :]
+        phi = list(zip(ys, rng.sample(xs, len(xs))))
+        defect = rng.randrange(6)
+        if defect == 0:
+            rng.choice([ys, xs, phi]).pop()
+        elif defect == 1:  # two images or two preimages
+            phi.append((rng.choice(ys), rng.choice(xs)))
+        elif defect == 2:  # overlap
+            ys.append(rng.choice(xs))
+        elif defect == 3:
+            phi.append((rng.choice(ys), rng.choice(_BAD_TOKENS)))
+        elif defect == 4:
+            k = rng.randrange(len(phi))
+            phi[k] = (_UNKNOWN, phi[k][1]) if rng.random() < 0.5 else (phi[k][0], _UNKNOWN)
+        rng.shuffle(phi)
+        phi = tuple(phi)
+        cases[f"lib/dense_interleave/{i}"] = ("dense_interleave", (tuple(ys), tuple(xs), phi, rng.choice(policies)))
+        cases[f"lib/Bijection/{i}"] = ("Bijection", (phi,))
+    return cases
+
+
 def cases() -> dict[str, tuple]:
     """Every case by name, built from SEED alone."""
     rng = random.Random(SEED)
-    return {**_cli_cases(rng), **_library_cases(rng), **_construction_cases(rng)}
+    return {**_cli_cases(rng), **_library_cases(rng), **_construction_cases(rng),
+            **_library_call_cases(random.Random(SEED + 1))}
+
+
+# Each library case's function, by name; the ones taking a poset, a partition, a
+# bijection, a forced pair or a policy build it from the case's plain data.
+_CALLS = {
+    "parse_relation": parse_relation,
+    "transitive_closure": transitive_closure,
+    "Poset": Poset,
+    "validate": validate,
+    "restrict": lambda spec, subset: restrict(_poset(*spec), subset),
+    "extend_with_pair": lambda spec, a, b: extend_with_pair(_poset(*spec), ForcedPair(a, b)),
+    "linear_extension": lambda spec, policy: linear_extension(_poset(*spec), _policy(policy)),
+    "szpilrajn": lambda spec, forced, policy: szpilrajn(
+        _poset(*spec), forced and ForcedPair(*forced), _policy(policy)),
+    "enumerate_linear_extensions": lambda spec, limit: enumerate_linear_extensions(_poset(*spec), limit),
+    "count_linear_extensions": lambda spec, cap: count_linear_extensions(_poset(*spec), cap),
+    "bipartition_order": lambda ground, a, b, policy: bipartition_order(ground, a, b, _policy(policy)),
+    "partition_block_order": lambda ground, blocks, policy: partition_block_order(
+        ground, Partition(blocks), _policy(policy)),
+    "dense_interleave": lambda ys, xs, phi, policy: dense_interleave(ys, xs, Bijection(phi), _policy(policy)),
+    "Partition": Partition,
+    "Bijection": Bijection,
+}
+
+
+def _shown(value: object) -> object:
+    """`value` with every set sorted and every record spelled out by its fields (a poset by
+    its ground and sorted pairs), so its repr is the same under any hash seed."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(_shown, value))
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_shown, value))
+    if isinstance(value, Poset):
+        return "Poset", value.ground, value.sorted_pairs()
+    if hasattr(value, "_fields"):
+        return (type(value).__name__, *[_shown(getattr(value, name)) for name in value._fields])
+    return value
 
 
 def _library(name: str, args: tuple) -> bytes:
     try:
-        value = {"parse_relation": parse_relation, "transitive_closure": transitive_closure}[name](*args)
+        value = _CALLS[name](*args)
     except Exception as exc:
         witness = sorted(vars(exc).items())
         return f"{type(exc).__name__}: {exc}\n{witness!r}\n".encode()
-    if isinstance(value, frozenset):
-        value = sorted(value)
-    return f"{value!r}\n".encode()
+    return f"{_shown(value)!r}\n".encode()
 
 
 def _cli(argv: list[str], files: dict[str, bytes], env: dict[str, str], root: Path) -> bytes:
