@@ -21,8 +21,6 @@ of a poset and always close it first; raw dependency files are rarely
 closed by hand.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -69,7 +67,7 @@ def _load_poset(path: str) -> Poset:
     return validate(ground, pairs, auto_close=True)
 
 
-def _policy_arg(text: str) -> TieBreakPolicy:
+def _policy_arg(text: str) -> "TieBreakPolicy":
     from .policy import TieBreakPolicy
 
     try:
@@ -123,13 +121,11 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def cmd_szpilrajn(args: argparse.Namespace) -> int:
-    # The two stages of `szpilrajn`, without the certificate, which would build every input pair.
-    from .extension import ForcedPair, extend_with_pair, linear_extension
+    from .extension import ForcedPair, szpilrajn
 
     poset = _load_poset(args.relation)
-    if args.force:
-        poset = extend_with_pair(poset, ForcedPair(*args.force))
-    _emit(linear_extension(poset, args.tie_break).sequence, args.output)
+    forced = ForcedPair(*args.force) if args.force else None
+    _emit(szpilrajn(poset, forced, args.tie_break).output_order.sequence, args.output)
     return 0
 
 

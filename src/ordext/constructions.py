@@ -10,8 +10,6 @@ leaks into the output.  The density predicate asks a betweenness
 question about one existing order.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import chain

@@ -7,8 +7,6 @@ domain hierarchy: the CLI maps domain errors to exit code 1 and parse or
 usage problems to exit code 2.
 """
 
-from __future__ import annotations
-
 
 class OrderError(Exception):
     """Base class for domain errors raised by order operations."""

@@ -3,24 +3,21 @@
 The pipeline keeps its two stages separate.  `extend_with_pair` ORs one
 incomparable pair, and the pairs it forces, into the closed masks and
 updates the covers; `linear_extension` removes sources one at a time
-along the covers with a tie-break policy deciding among candidates (the
-closure in `core` orders its nodes without `source_order`); `szpilrajn`
-chains the two and returns a certificate a caller can re-check, whose
-input relation is built when first read.  Enumeration tries every such
-removal order with one iterative walk, and a downset-counting dynamic
-program counts them one comparability component at a time; both
-cross-examine the fast path.  Results are correct by construction and
-are built without a second verification.
+along the covers with a tie-break policy deciding among candidates;
+`szpilrajn` chains the two and returns a certificate a caller can
+re-check, whose input relation is built when first read.  Enumeration
+tries every such removal order with one iterative walk, and a
+downset-counting dynamic program counts them one comparability component
+at a time; both cross-examine the fast path.  Results are correct by
+construction and are built without a second verification.
 """
-
-from __future__ import annotations
 
 import sys
 from bisect import insort
 from functools import cached_property
 from itertools import chain, islice
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from .core import DEFAULT_COUNT_CAP, DEFAULT_ENUM_LIMIT  # noqa: F401  (public names of this module too)
 from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, bits, check_token
@@ -122,58 +119,46 @@ def extend_with_pair(poset: Poset, pair: ForcedPair) -> Poset:
     return _closed_poset(poset.ground, succ, pred, cover)
 
 
-def source_order(
-    succ: Sequence[int], pred: Sequence[int], ranked: Sequence[int], pick: Callable | None = None
-) -> list[int]:
-    """Positions in source-removal order (Kahn 1962) along the edges `succ`.
+def linear_extension(
+    poset: Poset, policy: "TieBreakPolicy | None" = None
+) -> LinearOrder:
+    """Linearize by repeated source removal (Kahn 1962) along the covers.
 
-    Position j joins the frontier once every position in `pred[j]` is
-    placed.  The frontier is a list of negated ranks, ascending, where
-    `ranked[r]` is the position of rank r, so the least rank is last and
-    leaves next; `pick`, given, chooses instead from the frontier listed by
-    ascending rank.
+    At each step the elements with no remaining predecessors form the
+    candidate set; `policy` picks which one leaves next.  An element joins
+    the candidates once every element of its `pred` mask is placed, which
+    along the covers happens when its last cover from below is placed, so
+    the candidates are those of removal over every pair.  The candidates
+    are a list of negated ranks, ascending, so the least rank is last:
+    input order and lexicographic order rank by ground position and by
+    token and take the least rank; seeded picks among the candidates in
+    ground order, since its draws pick by position.  Output is a pure
+    function of (poset, policy).
     """
+    g, cover, pred = poset.ground, poset._cover, poset.pred
+    kind = "input-order" if policy is None else policy.kind
+    ranked = sorted(range(len(g)), key=g.__getitem__) if kind == "lexicographic" else range(len(g))
+    pick = policy.start().pick if kind == "seeded" else None
     rank = sorted(range(len(ranked)), key=ranked.__getitem__)  # the inverse permutation
     frontier = sorted([-rank[i] for i, mask in enumerate(pred) if not mask])
-    out: list[int] = []
+    out: list[str] = []
     placed = 0
     while frontier:
         r = frontier.pop() if pick is None else frontier.pop(frontier.index(pick(frontier[::-1])))
         i = ranked[-r]
-        out.append(i)
-        if succ[i]:  # a position with no edges out is below nothing, so `placed` skips it
+        out.append(g[i])
+        if cover[i]:  # a position with no covers above it is below nothing, so `placed` skips it
             placed |= 1 << i
-            for j in reversed(bits(succ[i])):  # in input order these ranks mostly append
+            for j in reversed(bits(cover[i])):  # in input order these ranks mostly append
                 if pred[j] & placed == pred[j]:
                     insort(frontier, -rank[j])
-    return out
-
-
-def linear_extension(
-    poset: Poset, policy: TieBreakPolicy | None = None
-) -> LinearOrder:
-    """Linearize by repeated source removal.
-
-    At each step the elements with no remaining predecessors form the
-    candidate set; `policy` picks which one leaves next.  The loop is
-    :func:`source_order` over the covers, which readies an element when
-    its last cover from below is placed, so the candidates are those of
-    removal over every pair.  Input order and lexicographic order rank
-    by ground position and by token and take the least rank; seeded picks
-    among the candidates in ground order, since its draws pick by position.
-    Output is a pure function of (poset, policy).
-    """
-    g = poset.ground
-    kind = "input-order" if policy is None else policy.kind
-    ranked = sorted(range(len(g)), key=g.__getitem__) if kind == "lexicographic" else range(len(g))
-    order = source_order(poset._cover, poset.pred, ranked, policy.start().pick if kind == "seeded" else None)
-    return _linear_order(tuple([g[i] for i in order]))
+    return _linear_order(tuple(out))
 
 
 def szpilrajn(
     poset: Poset,
     forced: ForcedPair | None = None,
-    policy: TieBreakPolicy | None = None,
+    policy: "TieBreakPolicy | None" = None,
 ) -> ExtensionCertificate:
     """Extend to a linear order, optionally through one forced pair.
 

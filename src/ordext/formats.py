@@ -18,8 +18,6 @@ malformed line, a line's structure before its tokens.
 - bijection: one mapping per line as `y -> x`, whitespace-separated.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING
 
 from .core import Pair, Poset, _valid_tokens, bits, check_token
@@ -60,19 +58,16 @@ def _checked(token: str, path: str | None, lineno: int) -> str:
         raise ParseError(str(exc), path, lineno) from None
 
 
-def _one_token(line: str, path: str | None, lineno: int) -> str:
-    fields = line.split()
-    if len(fields) != 1:
-        raise ParseError("expected one element per line", path, lineno)
-    return _checked(fields[0], path, lineno)
-
-
 def _line_tokens(lines: list[tuple[int, str]], path: str | None) -> tuple[str, ...]:
     """The one token of each line, checked as one batch and walked line by line only if it fails."""
     tokens = tuple(line for _, line in lines)
-    if _valid_tokens(tokens):
-        return tokens
-    return tuple(_one_token(line, path, lineno) for lineno, line in lines)
+    if not _valid_tokens(tokens):
+        for lineno, line in lines:
+            fields = line.split()
+            if len(fields) != 1:
+                raise ParseError("expected one element per line", path, lineno)
+            _checked(fields[0], path, lineno)
+    return tokens
 
 
 def _check_two_per_line(tokens: list[str], lines: list[tuple[int, str]], path: str | None) -> None:
@@ -117,7 +112,7 @@ def parse_sequence(text: str, path: str | None = None) -> tuple[str, ...]:
     return _line_tokens(_meaningful_lines(text), path)
 
 
-def parse_partition(text: str, path: str | None = None) -> Partition:
+def parse_partition(text: str, path: str | None = None) -> "Partition":
     """Read a partition file: blocks of elements separated by `---` lines.
 
     A file with no content and no separator is the empty partition.
@@ -131,7 +126,7 @@ def parse_partition(text: str, path: str | None = None) -> Partition:
     return Partition(blocks if cuts or blocks[0] else ())
 
 
-def parse_bijection(text: str, path: str | None = None) -> Bijection:
+def parse_bijection(text: str, path: str | None = None) -> "Bijection":
     """Read a bijection file: one mapping per line as `y -> x`."""
     from .constructions import Bijection
 

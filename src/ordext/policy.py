@@ -26,15 +26,12 @@ together in 128-bit lanes of one int, and :meth:`TieBreaker.pick` finds
 the element the shuffle would put first without shuffling.
 
 One operation run spends one stream, from one :meth:`TieBreakPolicy.start`.
-For the constructions, :func:`_breaker` starts it, reading
-``policy=None`` as input order, and :func:`_layout` arranges an
-operation's segments in turn with that breaker, empty ones included,
-each segment's draws following the previous segment's.  Linearization
-reads ``policy=None`` as input order itself, so without a policy it
-never loads this module.
+For the constructions, :func:`_layout` starts it, reading
+``policy=None`` as input order, and arranges an operation's segments in
+turn with that breaker, empty ones included, each segment's draws
+following the previous segment's.  Linearization reads ``policy=None``
+as input order itself, so without a policy it never loads this module.
 """
-
-from __future__ import annotations
 
 import sys
 from itertools import chain
@@ -206,11 +203,8 @@ class TieBreaker:
         return items[p]
 
 
-def _breaker(policy: TieBreakPolicy | None) -> TieBreaker:
-    """The breaker of one operation run; no policy means input order."""
-    return (TieBreakPolicy.input_order() if policy is None else policy).start()
-
-
 def _layout(policy: TieBreakPolicy | None, segments) -> tuple[str, ...]:
-    """Each segment arranged in turn by one breaker, concatenated."""
-    return tuple(chain.from_iterable(map(_breaker(policy).arrange, segments)))
+    """Each segment arranged in turn by the breaker of one operation run, concatenated;
+    no policy means input order."""
+    breaker = (TieBreakPolicy.input_order() if policy is None else policy).start()
+    return tuple(chain.from_iterable(map(breaker.arrange, segments)))

@@ -4,10 +4,12 @@ import contextlib
 import errno
 import io
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from helpers import random_pairs
 
 from ordext import ForcedPair, Poset, TieBreakPolicy, parse_relation, szpilrajn, validate
 from ordext.cli import COMMANDS, build_parser, main
@@ -178,6 +180,18 @@ class TestSzpilrajn:
         code, out, err = run("szpilrajn", "--force", "y", "x", "--tie-break", "seed:3", "r", files={"r": DIAMOND})
         assert (code, err) == (0, "")
         assert out == "".join(tok + "\n" for tok in expected)
+
+    @pytest.mark.parametrize("tie_break", [None, "input", "lex", "seed:0", "seed:18446744073709551615"])
+    def test_without_force_prints_what_linearize_prints(self, run, tie_break):
+        rng = random.Random(29)
+        flags = [] if tie_break is None else ["--tie-break", tie_break]
+        for _ in range(15):
+            ground, pairs = random_pairs(rng, rng.randrange(1, 12))
+            text = "\n".join([*ground, "---", *(f"{x} < {y}" for x, y in pairs)]) + "\n"
+            argv = ["r", *flags, "--output", rng.choice(["human", "machine"])]
+            linearized = run("linearize", *argv, files={"r": text})
+            assert linearized[0] == 0
+            assert run("szpilrajn", *argv, files={"r": text}) == linearized
 
     def test_forced_comparable_rejected(self, run):
         code, _, err = run("szpilrajn", "--force", "b", "a", "r", files={"r": "a < b\n"})

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ordext import TieBreakPolicy
-from ordext.policy import _BLOCK, _SplitMix64, _breaker, _layout
+from ordext.policy import _BLOCK, _SplitMix64, _layout
 
 from oracles import reference_shuffle, reference_stream
 
@@ -186,7 +186,6 @@ class TestPick:
 
 class TestLayout:
     def test_no_policy_is_input_order(self):
-        assert _breaker(None).policy == TieBreakPolicy.input_order()
         assert _layout(None, (["c", "a"], [], ["b"])) == ("c", "a", "b")
 
     def test_segments_share_one_stream_in_order(self):
