@@ -416,7 +416,8 @@ def _library_call_cases(rng: random.Random) -> dict[str, tuple]:
         cases[f"lib/validate-auto/{i}"] = ("validate", (ground, pairs, True))
     for i in range(30):
         spec = _poset_spec(rng, rng.choice(["validate", "Poset"]))
-        cases[f"lib/restrict/{i}"] = ("restrict", (spec, tuple(_spoiled(rng, rng.sample(spec[1], rng.randrange(len(spec[1]) + 1))))))
+        subset = _spoiled(rng, rng.sample(spec[1], rng.randrange(len(spec[1]) + 1)))
+        cases[f"lib/restrict/{i}"] = ("restrict", (spec, tuple(subset)))
     for i in range(40):
         spec = _poset_spec(rng, rng.choice(["validate", "Poset"]))
         names, closed = spec[1], set(_closed(spec[2]))
@@ -441,7 +442,8 @@ def _library_call_cases(rng: random.Random) -> dict[str, tuple]:
     for i in range(25):
         names = rng.sample(_NAMES, rng.randrange(3, 9))
         k = rng.randrange(1, len(names))
-        parts = [names, rng.sample(names[:k], rng.randrange(k + 1)), rng.sample(names[k:], rng.randrange(len(names) - k + 1))]
+        a = rng.sample(names[:k], rng.randrange(k + 1))
+        parts = [names, a, rng.sample(names[k:], rng.randrange(len(names) - k + 1))]
         if parts[2] and rng.random() < 0.3:  # overlap
             parts[1].append(rng.choice(parts[2]))
         n = rng.randrange(3)
@@ -464,7 +466,8 @@ def _library_call_cases(rng: random.Random) -> dict[str, tuple]:
         elif defect < 4:
             names = _spoiled(rng, names)
         blocks = tuple(map(tuple, blocks))
-        cases[f"lib/partition_block_order/{i}"] = ("partition_block_order", (tuple(names), blocks, rng.choice(policies)))
+        policy = rng.choice(policies)
+        cases[f"lib/partition_block_order/{i}"] = ("partition_block_order", (tuple(names), blocks, policy))
         cases[f"lib/Partition/{i}"] = ("Partition", (blocks,))
     for i in range(25):
         names = rng.sample(_NAMES, 2 * rng.randrange(1, 5))

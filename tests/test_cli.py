@@ -9,10 +9,11 @@ import subprocess
 import sys
 
 import pytest
-from helpers import random_pairs
 
 from ordext import ForcedPair, Poset, TieBreakPolicy, parse_relation, szpilrajn, validate
 from ordext.cli import COMMANDS, build_parser, main
+
+from helpers import random_pairs
 
 CHAIN = "a < b\nb < c\n"
 ANTICHAIN3 = "a\nb\nc\n---\n"
