@@ -4,11 +4,12 @@ One subcommand per task; every subcommand takes `--output`, and every
 other flag belongs to the subcommand that uses it.  Exit status 0 on
 success, 1 for domain errors (cycles, comparable forced pairs,
 non-disjoint subsets, broken bijections), 2 for malformed or unreadable
-files, bad usage, and output that cannot be written (`error: cannot
-write output: ...`, say on a full disk).  A reader that closes the pipe
-early ends the run quietly with status 1.  Output is a pure function of
-the inputs: identical files, flags, and seeds produce byte-identical
-bytes on every run.
+files, bad usage, output that cannot be written (`error: cannot write
+output: ...`, say on a full disk) and running out of memory (`error: out
+of memory`).  A reader that closes the pipe early ends the run quietly
+with status 1.  Numbers, read or written, have no digit limit.  Output
+is a pure function of the inputs: identical files, flags, and seeds
+produce byte-identical bytes on every run.
 
 A run builds the parser of its command alone, and imports the modules
 that command uses; `--help`, usage errors and an unknown command build
@@ -76,9 +77,22 @@ def _policy_arg(text: str) -> "TieBreakPolicy":
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _unguarded(convert: type, value: object) -> object:
+    """`convert(value)`, for `int` or `str`, free of the interpreter's cap on the digits of an int
+    read or written (`sys.set_int_max_str_digits`, where it exists), which is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return convert(value)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _nonnegative_arg(text: str) -> int:
     try:
-        value = int(text, 10)
+        value = _unguarded(int, text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
@@ -137,11 +151,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if limit is None:
         raw = os.environ.get(ENV_ENUM_LIMIT, str(DEFAULT_ENUM_LIMIT))
         try:
-            limit = int(raw, 10)
+            limit = _unguarded(int, raw)
         except ValueError:
-            raise ParseError(
-                f"{ENV_ENUM_LIMIT} is not an integer: {raw!r}"
-            ) from None
+            raise ParseError(f"{ENV_ENUM_LIMIT} is not an integer: {raw!r}") from None
         if limit < 0:
             raise ParseError(f"{ENV_ENUM_LIMIT} must be nonnegative: {raw}")
     # The same walk as enumerate_linear_extensions, written out as it goes.
@@ -159,7 +171,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     from .extension import count_linear_extensions
 
     poset = _load_poset(args.relation)
-    sys.stdout.write(f"{count_linear_extensions(poset, args.cap)}\n")
+    sys.stdout.write(_unguarded(str, count_linear_extensions(poset, args.cap)) + "\n")
     return 0
 
 
@@ -334,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         # Drop the unwritten rest, so the flush at exit reports nothing a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
     except (ParseError, OrderError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,22 +3,24 @@
 Relations are stored in strict form: reflexive pairs stay implicit, so a
 valid relation is an irreflexive, antisymmetric, transitively closed set
 of ordered pairs over a ground sequence.  The ground keeps its input
-order and doubles as the default tie-break source.  A `Poset` stores
-the relation only as successor and predecessor bitmasks indexed by
-ground position, verified when `Poset` builds them from pairs and closed
-by construction in `_close`; its pairs are built on request.  `_close`
-orders the nodes with a plain queue and records each position's covers,
-the transitive reduction that linearization walks.  Closing and
-linearizing keep separate loops: `extension.linear_extension` ranks its
-frontier, which closing has no use for, and closing every seed-5
-benchmark relation file through that ranked loop was 12-18% slower
-(summed medians: `deps` 58.3 to 66.0 ms, `wide-exhaustive` 8.99 to
-10.63 ms).  The public constructors verify everything they are
-given; results correct by construction are assembled by `_closed_poset`
-and `_linear_order` without a second check.  Tokens are checked as one
-batch by `_valid_tokens` and walked one by one only to name a witness.
-All values are immutable after construction and every operation is a
-pure function of its inputs.
+order and doubles as the default tie-break source.  A `Poset` stores the
+relation only as successor and predecessor bitmasks indexed by ground
+position, plus each position's covers (the transitive reduction, which
+linearization walks); its pairs are built on request.  One reach pass,
+`_reach`, gives masks and covers alike: `_close` runs it back and forth
+along a plain queue's topological order, `Poset` over a copy of the
+masks it verifies, which are closed exactly when the pass changes none,
+and `restrict` over the masks it keeps.  Closing and linearizing keep
+separate loops: `extension.linear_extension` ranks its frontier, which
+closing has no use for, and closing every seed-5 benchmark relation file
+through that ranked loop was 12-18% slower (summed medians: `deps` 58.3
+to 66.0 ms, `wide-exhaustive` 8.99 to 10.63 ms).  The public
+constructors verify everything they are given; results correct by
+construction are assembled by `_closed_poset` and `_linear_order`
+without a second check.  Tokens are checked as one batch by
+`_valid_tokens` and walked one by one only to name a witness.  All
+values are immutable after construction and every operation is a pure
+function of its inputs.
 """
 
 from functools import cached_property
@@ -159,6 +161,20 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int]) -> tuple[list[int], lis
     return succ, pred, stray
 
 
+def _reach(succ: list[int], order: Iterable[int]) -> list[int]:
+    """Along `order`, OR into each mask the masks of its successors, in place, and return each
+    position's covers: the successors that no other successor reaches.  Along a reverse
+    topological order this closes the masks; on closed masks it changes nothing."""
+    cover = [0] * len(succ)
+    for i in order:
+        reach = 0
+        for j in bits(succ[i]):
+            reach |= succ[j]
+        cover[i] = succ[i] & ~reach
+        succ[i] |= reach
+    return cover
+
+
 def _reject(stray: list[Pair], index: dict[str, int]) -> None:
     """Raise for the non-string token with the least repr, else for the
     lexicographically first stray pair, if there is one."""
@@ -178,16 +194,17 @@ class Poset(_Record):
 
     `Poset(ground, relation)` verifies every invariant and raises a
     witness-carrying error otherwise; use :func:`validate` to build from
-    raw pairs, optionally closing them first.  The stored form is `succ`
-    and `pred`, for each ground position the bitmask of the positions
-    strictly above and below it; `relation` is built from them on request.
-    Equality and hashing read `ground` and `succ`.
+    raw pairs, optionally closing them first.  The stored form is `succ`,
+    `pred` and `_cover`, for each ground position the bitmask of the
+    positions strictly above, below and directly above it; `relation` is
+    built on request.  Equality and hashing read `ground` and `succ`.
     """
 
     _fields = ("ground", "succ")
     ground: tuple[str, ...]
     succ: tuple[int, ...]
     pred: tuple[int, ...]
+    _cover: tuple[int, ...]
 
     def __init__(self, ground: Iterable[str], relation: Iterable[Pair]):
         self.__post_init__(ground, relation)
@@ -198,17 +215,16 @@ class Poset(_Record):
         succ, pred, stray = _masks(relation, self.ground_index)
         _reject(stray, self.ground_index)
         for i, mask in enumerate(succ):
-            both = mask & pred[i]
-            if both:
+            if both := mask & pred[i]:
                 raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
-        for i, mask in enumerate(succ):
-            outside = ~mask
-            for j in bits(mask):
-                missing = succ[j] & outside
-                if missing:
-                    raise NotClosed((g[i], g[j], g[bits(missing)[0]]))
-        object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(self, "pred", tuple(pred))
+        reached = succ.copy()
+        cover = _reach(reached, range(len(g)))
+        if reached != succ:  # not closed: name the first missing pair's triple
+            for i, mask in enumerate(succ):
+                for j in bits(mask):
+                    if missing := succ[j] & ~mask:
+                        raise NotClosed((g[i], g[j], g[bits(missing)[0]]))
+        vars(self).update(succ=tuple(succ), pred=tuple(pred), _cover=tuple(cover))
 
     @cached_property
     def ground_index(self) -> dict[str, int]:
@@ -228,24 +244,6 @@ class Poset(_Record):
     def relation(self) -> frozenset[Pair]:
         """The relation as a set of pairs, built from `succ` the first time it is read."""
         return frozenset(self.sorted_pairs())
-
-    @cached_property
-    def _cover(self) -> tuple[int, ...]:
-        """Per position, the bitmask of the positions directly above it (the transitive
-        reduction).  `_close` stores it; a verified or restricted poset derives it on first
-        use, one minimal position of each successor mask at a time: walk down through `pred`
-        from any position left until none left is below, then drop it and all above it."""
-        cover = []
-        for mask in self.succ:
-            rest, row = mask, 0
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                while below := self.pred[j] & rest:
-                    j = below.bit_length() - 1
-                row |= 1 << j
-                rest &= ~(self.succ[j] | 1 << j)
-            cover.append(row)
-        return tuple(cover)
 
     def __repr__(self) -> str:
         return f"Poset(ground={self.ground!r}, relation={self.relation!r})"
@@ -330,30 +328,16 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int]) -> Poset | No
                 order.append(j)
     if len(order) < len(nodes):
         return None
-    # Backwards a node reaches its successors and all they reach, and it covers the successors
-    # that no other successor reaches; forwards, it is reached from its predecessors and theirs.
-    cover = [0] * len(nodes)
-    for i in reversed(order):
-        reach = 0
-        for j in bits(succ[i]):
-            reach |= succ[j]
-        cover[i] = succ[i] & ~reach
-        succ[i] |= reach
-    for i in order:
-        for j in bits(pred[i]):
-            pred[i] |= pred[j]
+    cover = _reach(succ, reversed(order))
+    _reach(pred, order)
     return _closed_poset(nodes, succ, pred, cover)
 
 
-def _closed_poset(
-    nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], cover: Sequence[int] | None = None
-) -> Poset:
+def _closed_poset(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], cover: Sequence[int]) -> Poset:
     """The poset of masks already closed, acyclic and transposed, taken without verification;
-    `cover`, when given, is its transitive reduction."""
+    `cover`, its transitive reduction, comes from the reach pass or updates a poset's covers."""
     poset = object.__new__(Poset)
-    vars(poset).update(ground=tuple(nodes), succ=tuple(succ), pred=tuple(pred))
-    if cover is not None:
-        vars(poset)["_cover"] = tuple(cover)
+    vars(poset).update(ground=tuple(nodes), succ=tuple(succ), pred=tuple(pred), _cover=tuple(cover))
     return poset
 
 
@@ -416,13 +400,14 @@ def restrict(poset: Poset, subset: Iterable[str]) -> Poset:
     """Sub-poset on `subset`: the relation intersected with subset x subset.
 
     Restriction of a closed relation is closed, so the result is read off
-    the masks of the kept positions without a second verification.
+    the masks of the kept positions without a second verification; one
+    reach pass over them, which changes none, gives its covers.
     """
     sub = check_ground(subset)
     new = {poset.index(tok): k for k, tok in enumerate(sub)}
     succ = [sum(1 << new[j] for j in bits(poset.succ[i]) if j in new) for i in new]
     pred = [sum(1 << new[j] for j in bits(poset.pred[i]) if j in new) for i in new]
-    return _closed_poset(sub, succ, pred)
+    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub))))
 
 
 def order_from_enumeration(sequence: Iterable[str]) -> LinearOrder:

@@ -2,12 +2,16 @@
 
     PYTHONPATH=src python3 tests/corpus.py
     PYTHONPATH=src python3 tests/corpus.py --check
+    PYTHONPATH=src python3 tests/corpus.py --kept BASE.json
 
 The first records the digest of every case in tests/corpus.json; the
 second, like `test_corpus.py` but with the standard library alone, runs
 each case again, names every case whose digest differs from the recorded
-one and exits 1 if there is any.  Re-record only for a deliberate change
-in behaviour, and name that change in CHANGES.md.
+one and exits 1 if there is any.  The third compares two recordings: it
+names every case of BASE.json (an older corpus.json) that corpus.json
+drops or records with another digest, and exits 1 if there is any, so a
+change may add cases but never rewrite one.  Re-record only for a
+deliberate change in behaviour, and name that change in CHANGES.md.
 
 A CLI case runs `ordext.cli.main` in-process from a temporary directory
 that holds its files under relative names, and its bytes are the exit
@@ -170,6 +174,14 @@ def _cli_cases(rng: random.Random) -> dict[str, tuple]:
     for raw in ("0", "2", "x", "-1", ""):
         cases[f"cli/good0.rel/enumerate-env-{raw!r}"] = (["enumerate", "good0.rel"], good, {ENV_ENUM_LIMIT: raw})
     cases["cli/missing-file"] = (["linearize", "missing.rel"], {}, {})
+    # Numbers past the interpreter's default cap of 4,300 digits on int/str conversion:
+    # 1700! has 4,756 digits, and each option is given 5,000.
+    wide = {"anti1700.rel": "".join(f"a{i}\n" for i in range(1700)).encode() + b"---\n"}
+    cases["cli/anti1700.rel/count-cap-2000"] = (["count", "anti1700.rel", "--cap", "2000"], wide, {})
+    huge = "9" * 5000
+    cases["cli/good0.rel/enumerate-limit-5000-digits"] = (["enumerate", "good0.rel", "--limit", huge], good, {})
+    cases["cli/good0.rel/count-cap-5000-digits"] = (["count", "good0.rel", "--cap", huge], good, {})
+    cases["cli/good0.rel/enumerate-env-5000-digits"] = (["enumerate", "good0.rel"], good, {ENV_ENUM_LIMIT: huge})
     return cases
 
 
@@ -601,5 +613,19 @@ def check() -> int:
     return 1 if wrong else 0
 
 
+def kept(base: Path) -> int:
+    """1 when corpus.json drops a case of the recording `base` or gives it another digest, else 0."""
+    old = json.loads(base.read_text(encoding="utf-8"))
+    now = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    lost = sorted(name for name in old if now.get(name) != old[name])
+    for name in lost:
+        print(f"{'changed' if name in now else 'dropped'}: {name}", file=sys.stderr)
+    print(f"{len(lost)} of {len(old)} cases of {base} changed or dropped in {DIGESTS.name}", file=sys.stderr)
+    return 1 if lost else 0
+
+
 if __name__ == "__main__":
-    sys.exit(check() if sys.argv[1:] == ["--check"] else record())
+    args = sys.argv[1:]
+    if args[:1] == ["--kept"] and len(args) == 2:
+        sys.exit(kept(Path(args[1])))
+    sys.exit(check() if args == ["--check"] else record())

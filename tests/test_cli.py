@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import math
 import os
 import random
 import subprocess
@@ -317,6 +318,60 @@ class TestCount:
         code, out, _ = run("count", "--cap", "25", "r", files={"r": text})
         assert code == 0
         assert out == "1\n"
+
+
+class TestNumbersPastTheDigitGuard:
+    """Counts and numeric options of any length: the interpreter's default cap of 4,300 digits
+    on int/str conversion, where it exists, is lifted while one is read or written, then restored."""
+
+    HUGE = "9" * 5000
+
+    @staticmethod
+    def digits(n):
+        chunks = []
+        while n:
+            n, low = divmod(n, 10**1000)
+            chunks.append(f"{low:01000d}")
+        return "".join(reversed(chunks)).lstrip("0") or "0"
+
+    @pytest.fixture(autouse=True)
+    def guard_restored(self):
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        yield
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+    def test_count_with_4756_digits(self, run):
+        text = "".join(f"a{i}\n" for i in range(1700)) + "---\n"
+        code, out, err = run("count", "--cap", "2000", "r", files={"r": text})
+        assert (code, err) == (0, "")
+        assert out == self.digits(math.factorial(1700)) + "\n"
+        assert len(out) == 4757
+
+    def test_cap(self, run):
+        assert run("count", "--cap", self.HUGE, "r", files={"r": ANTICHAIN3}) == (0, "6\n", "")
+
+    def test_limit(self, run):
+        code, out, err = run("enumerate", "--output", "machine", "--limit", self.HUGE, "r", files={"r": ANTICHAIN3})
+        assert (code, len(out.splitlines()), err) == (0, 6, "")
+
+    def test_env_limit(self, run, monkeypatch):
+        monkeypatch.setenv("ORDEXT_ENUM_LIMIT", self.HUGE)
+        code, out, err = run("enumerate", "--output", "machine", "r", files={"r": ANTICHAIN3})
+        assert (code, len(out.splitlines()), err) == (0, 6, "")
+
+    def test_still_not_an_integer(self, run):
+        code, _, err = run("enumerate", "--limit", self.HUGE + "x", "r", files={"r": ANTICHAIN3})
+        assert code == 2
+        assert "not an integer" in err
+
+
+class TestOutOfMemory:
+    def test_error_line_and_status_2(self, run, monkeypatch):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr("ordext.cli._read", exhausted)
+        assert run("linearize", "r", files={"r": CHAIN}) == (2, "", "error: out of memory\n")
 
 
 class TestIncomparable:

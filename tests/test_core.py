@@ -515,6 +515,25 @@ class TestAgainstOraclesAtSize:
                 assert info.value.triple == triple
             seen[expected] += 1
         assert min(seen.values()) > 500
+        # Closed relations of up to 60 elements less one pair: unclosed exactly when the pair
+        # was not a cover, and then the first missing pair's triple is the witness.
+        raised = 0
+        for _ in range(60):
+            closed = random_poset(rng, rng.randrange(11, 61), rng.random() * 0.3)
+            ground, rel = list(closed.ground), set(closed.relation)
+            if not rel:
+                continue
+            rng.shuffle(ground)
+            rel.discard(rng.choice(sorted(rel)))
+            triple = first_unclosed_triple(ground, rel)
+            if triple is None:
+                assert Poset(tuple(ground), frozenset(rel)).relation == rel
+                continue
+            with pytest.raises(NotClosed) as info:
+                Poset(tuple(ground), frozenset(rel))
+            assert info.value.triple == triple
+            raised += 1
+        assert raised > 20
 
 
 class TestClosedPosetsMatchVerifiedOnes:

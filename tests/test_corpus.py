@@ -74,3 +74,19 @@ def test_every_case_matches_its_recorded_digest():
     got = corpus.outputs(cases)
     wrong = [name for name in cases if corpus.digest(got[name]) != recorded[name]]
     assert not wrong, _report(wrong, cases, got, recorded)
+
+
+def test_kept_fails_when_a_base_digest_is_changed_or_dropped(tmp_path, capsys):
+    recorded = json.loads(corpus.DIGESTS.read_text(encoding="utf-8"))
+    first, last = next(iter(recorded)), next(reversed(recorded))
+    bases = {
+        "same": (recorded, 0),
+        "fewer": ({name: value for name, value in recorded.items() if name != last}, 0),
+        "changed": ({**recorded, first: "0" * 64}, 1),
+        "dropped": ({**recorded, "cli/gone": "0" * 64}, 1),
+    }
+    for name, (table, status) in bases.items():
+        base = tmp_path / f"{name}.json"
+        base.write_text(json.dumps(table), encoding="utf-8")
+        assert corpus.kept(base) == status, name
+    assert capsys.readouterr().err.count("changed or dropped") == len(bases)

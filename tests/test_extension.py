@@ -246,8 +246,9 @@ class TestLinearExtensionMatchesKahnOracle:
 
 
 class TestCoversAreTheTransitiveReduction:
-    """`linear_extension` runs over the covers: `_close` records them as it closes,
-    `extend_with_pair` updates them, and verified and restricted posets derive them."""
+    """`linear_extension` runs over the covers, and every poset is built with them: the one
+    reach pass gives them to closed, verified and restricted posets alike, and
+    `extend_with_pair` updates them."""
 
     @staticmethod
     def covers(poset):
@@ -259,9 +260,10 @@ class TestCoversAreTheTransitiveReduction:
     def test_every_way_a_poset_is_built(self, n, density, seed, keep):
         rng = random.Random(seed)
         closed = random_poset(rng, n, density)
-        assert "_cover" in vars(closed)
         built = [closed, Poset(closed.ground, closed.relation)]
         built.append(restrict(closed, [tok for tok in closed.ground if rng.random() < keep]))
+        for poset in built:  # closed, verified, restricted
+            assert "_cover" in vars(poset)
         extended = rng.choice(built)
         while len(built) < 7 and (free := incomparable_pairs(extended)):
             extended = extend_with_pair(extended, ForcedPair(*rng.choice(free)[::rng.choice((1, -1))]))
