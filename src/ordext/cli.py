@@ -13,7 +13,10 @@ produce byte-identical bytes on every run.
 
 A run builds the parser of its command alone, and imports the modules
 that command uses; `--help`, usage errors and an unknown command build
-the parser of every command.
+the parser of every command.  Each handler returns its stdout as an
+iterable of strings (a generator for enumerated orders and incomparable
+pairs, so they are written as they are made); `main` alone writes it,
+flushes it and returns 0.
 
 The `validate` command checks a relation file exactly as given (opt-in
 closure via --auto-close).  The operating commands (linearize,
@@ -26,7 +29,7 @@ import argparse
 import os
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     DEFAULT_COUNT_CAP,
@@ -100,50 +103,44 @@ def _nonnegative_arg(text: str) -> int:
     return value
 
 
-def _emit(sequence: tuple[str, ...], mode: str) -> None:
+def _emit(sequence: tuple[str, ...], mode: str) -> str:
     if mode == "machine":
-        sys.stdout.write("\t".join(sequence) + "\n")
-    else:
-        for token in sequence:
-            sys.stdout.write(token + "\n")
+        return "\t".join(sequence) + "\n"
+    return "".join([token + "\n" for token in sequence])
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Iterable[str]:
     ground, pairs = parse_relation(_read(args.relation), args.relation)
     poset = validate(ground, pairs, auto_close=args.auto_close)
     if args.subset is not None:
         subset = parse_sequence(_read(args.subset), args.subset)
         poset = restrict(poset, subset)
-    sys.stdout.write(format_relation(poset))
-    return 0
+    return [format_relation(poset)]
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
+def cmd_closure(args: argparse.Namespace) -> Iterable[str]:
     ground, pairs = parse_relation(_read(args.relation), args.relation)
     closed = _closure(pairs, ground)
     check_ground(ground)  # after closing, so a cycle is reported before a repeated header element
-    sys.stdout.write(format_relation(closed))
-    return 0
+    return [format_relation(closed)]
 
 
-def cmd_linearize(args: argparse.Namespace) -> int:
+def cmd_linearize(args: argparse.Namespace) -> Iterable[str]:
     from .extension import linear_extension
 
     order = linear_extension(_load_poset(args.relation), args.tie_break)
-    _emit(order.sequence, args.output)
-    return 0
+    return [_emit(order.sequence, args.output)]
 
 
-def cmd_szpilrajn(args: argparse.Namespace) -> int:
+def cmd_szpilrajn(args: argparse.Namespace) -> Iterable[str]:
     from .extension import ForcedPair, szpilrajn
 
     poset = _load_poset(args.relation)
     forced = ForcedPair(*args.force) if args.force else None
-    _emit(szpilrajn(poset, forced, args.tie_break).output_order.sequence, args.output)
-    return 0
+    return [_emit(szpilrajn(poset, forced, args.tie_break).output_order.sequence, args.output)]
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> Iterable[str]:
     from .extension import _extensions
 
     poset = _load_poset(args.relation)
@@ -156,81 +153,66 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise ParseError(f"{ENV_ENUM_LIMIT} is not an integer: {raw!r}") from None
         if limit < 0:
             raise ParseError(f"{ENV_ENUM_LIMIT} must be nonnegative: {raw}")
-    # The same walk as enumerate_linear_extensions, written out as it goes.
+    # The same walk as enumerate_linear_extensions, handed out as it goes.
     walk = _extensions(poset)
     for i, sequence in enumerate(islice(walk, min(limit, sys.maxsize))):
         if i and args.output == "human":
-            sys.stdout.write("\n")
-        _emit(sequence, args.output)
+            yield "\n"
+        yield _emit(sequence, args.output)
     if next(walk, None) is not None:
         sys.stderr.write(f"note: enumeration truncated at limit {limit}\n")
-    return 0
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: argparse.Namespace) -> Iterable[str]:
     from .extension import count_linear_extensions
 
     poset = _load_poset(args.relation)
-    sys.stdout.write(_unguarded(str, count_linear_extensions(poset, args.cap)) + "\n")
-    return 0
+    return [_unguarded(str, count_linear_extensions(poset, args.cap)) + "\n"]
 
 
-def cmd_incomparable(args: argparse.Namespace) -> int:
+def cmd_incomparable(args: argparse.Namespace) -> Iterable[str]:
     poset = _load_poset(args.relation)
     if args.pair:
         if len(args.pair) != 2:
             raise ParseError("expected exactly two elements after the file")
-        x, y = args.pair
-        answer = not is_comparable(poset, x, y)
-        sys.stdout.write("true\n" if answer else "false\n")
-        return 0
+        return ["false\n" if is_comparable(poset, *args.pair) else "true\n"]
     separator = "\t" if args.output == "machine" else " "
-    for x, y in incomparable_pairs(poset):
-        sys.stdout.write(f"{x}{separator}{y}\n")
-    return 0
+    return (f"{x}{separator}{y}\n" for x, y in incomparable_pairs(poset))
 
 
-def cmd_bipartition(args: argparse.Namespace) -> int:
+def cmd_bipartition(args: argparse.Namespace) -> Iterable[str]:
     from .constructions import bipartition_order
 
     ground = parse_sequence(_read(args.ground), args.ground)
     first = parse_sequence(_read(args.a), args.a)
     second = parse_sequence(_read(args.b), args.b)
-    order = bipartition_order(ground, first, second, args.tie_break)
-    _emit(order.sequence, args.output)
-    return 0
+    return [_emit(bipartition_order(ground, first, second, args.tie_break).sequence, args.output)]
 
 
-def cmd_blocks(args: argparse.Namespace) -> int:
+def cmd_blocks(args: argparse.Namespace) -> Iterable[str]:
     from .constructions import partition_block_order
 
     ground = parse_sequence(_read(args.ground), args.ground)
     partition = parse_partition(_read(args.partition), args.partition)
-    order = partition_block_order(ground, partition, args.tie_break)
-    _emit(order.sequence, args.output)
-    return 0
+    return [_emit(partition_block_order(ground, partition, args.tie_break).sequence, args.output)]
 
 
-def cmd_interleave(args: argparse.Namespace) -> int:
+def cmd_interleave(args: argparse.Namespace) -> Iterable[str]:
     from .constructions import dense_interleave
 
     ys = parse_sequence(_read(args.y), args.y)
     xs = parse_sequence(_read(args.x), args.x)
     phi = parse_bijection(_read(args.phi), args.phi)
-    order = dense_interleave(ys, xs, phi, args.tie_break)
-    _emit(order.sequence, args.output)
-    return 0
+    return [_emit(dense_interleave(ys, xs, phi, args.tie_break).sequence, args.output)]
 
 
-def cmd_dense_check(args: argparse.Namespace) -> int:
+def cmd_dense_check(args: argparse.Namespace) -> Iterable[str]:
     from .constructions import is_dense
 
     order = order_from_enumeration(parse_sequence(_read(args.order), args.order))
     t1 = parse_sequence(_read(args.t1), args.t1)
     t2 = parse_sequence(_read(args.t2), args.t2)
-    answer = is_dense(t1, t2, order, strict=not args.non_strict)
-    sys.stdout.write("true\n" if answer else "false\n")
-    return 0
+    return ["true\n" if is_dense(t1, t2, order, strict=not args.non_strict) else "false\n"]
 
 
 def _arg(*flags: str, **options) -> tuple:
@@ -334,9 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        code = args.func(args)
+        sys.stdout.writelines(args.func(args))
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # The reader left early (`ordext enumerate ... | head`); drop the rest quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

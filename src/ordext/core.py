@@ -8,19 +8,20 @@ relation only as successor and predecessor bitmasks indexed by ground
 position, plus each position's covers (the transitive reduction, which
 linearization walks); its pairs are built on request.  One reach pass,
 `_reach`, gives masks and covers alike: `_close` runs it back and forth
-along a plain queue's topological order, `Poset` over a copy of the
-masks it verifies, which are closed exactly when the pass changes none,
-and `restrict` over the masks it keeps.  Closing and linearizing keep
-separate loops: `extension.linear_extension` ranks its frontier, which
-closing has no use for, and closing every seed-5 benchmark relation file
-through that ranked loop was 12-18% slower (summed medians: `deps` 58.3
-to 66.0 ms, `wide-exhaustive` 8.99 to 10.63 ms).  The public
-constructors verify everything they are given; results correct by
-construction are assembled by `_closed_poset` and `_linear_order`
-without a second check.  Tokens are checked as one batch by
-`_valid_tokens` and walked one by one only to name a witness.  All
-values are immutable after construction and every operation is a pure
-function of its inputs.
+along a plain queue's topological order, or finding none raises its
+caller's error class with a shortest cycle as witness; `Poset` runs it
+over a copy of the masks it verifies, which are closed exactly when the
+pass changes none, and `restrict` over the masks it keeps.  Closing and
+linearizing keep separate loops: `extension.linear_extension` ranks its
+frontier, which closing has no use for, and closing every seed-5
+benchmark relation file through that ranked loop was 12-18% slower
+(summed medians: `deps` 58.3 to 66.0 ms, `wide-exhaustive` 8.99 to
+10.63 ms).  The public constructors verify everything they are given;
+results correct by construction are assembled by `_closed_poset` and
+`_linear_order` without a second check.  Tokens are checked as one
+batch by `_valid_tokens` and walked one by one only to name a witness.
+All values are immutable after construction and every operation is a
+pure function of its inputs.
 """
 
 from functools import cached_property
@@ -315,10 +316,10 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[
     return [nodes[i] for i in best]
 
 
-def _close(nodes: Sequence[str], succ: list[int], pred: list[int]) -> Poset | None:
-    """The poset of the reachability closure, or None on a cycle, found before any mask changes;
-    `succ` and its transpose `pred` are closed in place along any topological order, which a
-    plain queue gives: a node joins it once its last predecessor has."""
+def _close(nodes: Sequence[str], succ: list[int], pred: list[int], cycle: type, starts: Iterable[int]) -> Poset:
+    """The poset of the reachability closure, or `cycle` raised on a shortest cycle from `starts`, found
+    before any mask changes; `succ` and its transpose `pred` are closed in place along any topological
+    order, which a plain queue gives: a node joins it once its last predecessor has."""
     order = [i for i, mask in enumerate(pred) if not mask]
     indegree = [mask.bit_count() for mask in pred]
     for i in order:
@@ -327,7 +328,7 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int]) -> Poset | No
             if not indegree[j]:
                 order.append(j)
     if len(order) < len(nodes):
-        return None
+        raise cycle(_shortest_cycle(nodes, succ, starts))
     cover = _reach(succ, reversed(order))
     _reach(pred, order)
     return _closed_poset(nodes, succ, pred, cover)
@@ -351,10 +352,7 @@ def _closure(pairs: Sequence[Pair], node_order: Iterable[str] | None) -> Poset:
     succ, pred, stray = _masks(pairs, index)
     # Self-loops are cycles here, reported like any other.
     _reject([p for p in stray if p[0] not in index or p[1] not in index], index)
-    closed = _close(nodes, succ, pred)
-    if closed is None:
-        raise ClosureCreatesReflexivePair(_shortest_cycle(nodes, succ, map(index.get, node_order)))
-    return closed
+    return _close(nodes, succ, pred, ClosureCreatesReflexivePair, map(index.get, node_order))
 
 
 def transitive_closure(
@@ -390,10 +388,7 @@ def validate(
     index = {tok: i for i, tok in enumerate(seq)}
     succ, pred, stray = _masks(pairs, index)
     _reject(stray, index)
-    closed = _close(seq, succ, pred)
-    if closed is None:
-        raise AntisymmetryViolation(_shortest_cycle(seq, succ, range(len(seq))))
-    return closed
+    return _close(seq, succ, pred, AntisymmetryViolation, range(len(seq)))
 
 
 def restrict(poset: Poset, subset: Iterable[str]) -> Poset:

@@ -2,14 +2,20 @@
 
 Every domain error names the elements that caused it (the cycle, the
 overlapping token, the comparable pair) so callers get an actionable
-diagnostic instead of a bare failure.  `ParseError` is kept outside the
-domain hierarchy: the CLI maps domain errors to exit code 1 and parse or
-usage problems to exit code 2.
+diagnostic instead of a bare failure.  The base class `OrderError` keeps
+the witness: each subclass builds its message and hands the witness to
+it as keywords, which become the error's attributes.  `ParseError` is
+kept outside the domain hierarchy: the CLI maps domain errors to exit
+code 1 and parse or usage problems to exit code 2.
 """
 
 
 class OrderError(Exception):
-    """Base class for domain errors raised by order operations."""
+    """Base class for domain errors; each `witness` keyword becomes an attribute."""
+
+    def __init__(self, *args: object, **witness: object):
+        super().__init__(*args)
+        vars(self).update(witness)
 
 
 class ParseError(Exception):
@@ -29,40 +35,36 @@ class ParseError(Exception):
 
 class InvalidToken(OrderError):
     def __init__(self, token: object, reason: str):
-        self.token = token
-        self.reason = reason
-        super().__init__(f"invalid element token {token!r}: {reason}")
+        super().__init__(f"invalid element token {token!r}: {reason}", token=token, reason=reason)
 
 
 class DuplicateElement(OrderError):
     def __init__(self, token: str):
-        self.token = token
-        super().__init__(f"duplicate element {token!r}")
+        super().__init__(f"duplicate element {token!r}", token=token)
 
 
 class UnknownElement(OrderError):
     def __init__(self, token: str):
-        self.token = token
-        super().__init__(f"unknown element {token!r}")
+        super().__init__(f"unknown element {token!r}", token=token)
 
 
 class AntisymmetryViolation(OrderError):
     """The relation contains a cycle, listed as x, ..., x."""
 
     def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-        super().__init__("antisymmetry violation: cycle " + " < ".join(self.cycle))
+        cycle = tuple(cycle)
+        super().__init__("antisymmetry violation: cycle " + " < ".join(cycle), cycle=cycle)
 
 
 class NotClosed(OrderError):
     """Witness triple (x, y, z): x < y and y < z hold but x < z is missing."""
 
     def __init__(self, triple):
-        self.triple = tuple(triple)
-        x, y, z = self.triple
+        x, y, z = triple
         super().__init__(
             f"relation is not transitively closed: {x} < {y} and {y} < {z} "
-            f"hold but {x} < {z} is missing"
+            f"hold but {x} < {z} is missing",
+            triple=(x, y, z),
         )
 
 
@@ -70,19 +72,14 @@ class ClosureCreatesReflexivePair(OrderError):
     """Closing the relation would relate an element to itself: the input has a cycle."""
 
     def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-        super().__init__(
-            "closure would create a reflexive pair: cycle " + " < ".join(self.cycle)
-        )
+        cycle = tuple(cycle)
+        super().__init__("closure would create a reflexive pair: cycle " + " < ".join(cycle), cycle=cycle)
 
 
 class NotIncomparable(OrderError):
     """Endpoints of a forced pair are already comparable."""
 
     def __init__(self, first: str, second: str, held: tuple[str, str] | None = None):
-        self.first = first
-        self.second = second
-        self.held = held
         if held is not None:
             x, y = held
             detail = f"{x} < {y} already holds"
@@ -90,37 +87,30 @@ class NotIncomparable(OrderError):
             detail = "the endpoints are equal"
         else:
             detail = "they are already comparable"
-        super().__init__(f"cannot force {first} before {second}: {detail}")
+        message = f"cannot force {first} before {second}: {detail}"
+        super().__init__(message, first=first, second=second, held=held)
 
 
 class NotDisjoint(OrderError):
     def __init__(self, token: str, where: str):
-        self.token = token
-        self.where = where
-        super().__init__(f"not disjoint: {token!r} appears in both {where}")
+        super().__init__(f"not disjoint: {token!r} appears in both {where}", token=token, where=where)
 
 
 class EmptySubset(OrderError):
     def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"subset {name} is empty")
+        super().__init__(f"subset {name} is empty", name=name)
 
 
 class EmptyBlock(OrderError):
     def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"partition block {index} is empty")
+        super().__init__(f"partition block {index} is empty", index=index)
 
 
 class NotBijective(OrderError):
     def __init__(self, reason: str, token: str | None = None):
-        self.reason = reason
-        self.token = token
-        super().__init__(f"mapping is not a bijection: {reason}")
+        super().__init__(f"mapping is not a bijection: {reason}", reason=reason, token=token)
 
 
 class CapExceeded(OrderError):
     def __init__(self, size: int, cap: int):
-        self.size = size
-        self.cap = cap
-        super().__init__(f"ground size {size} exceeds the counting cap {cap}")
+        super().__init__(f"ground size {size} exceeds the counting cap {cap}", size=size, cap=cap)

@@ -10,7 +10,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ordext.extension
+from ordext import cli
 from ordext import ForcedPair, Poset, TieBreakPolicy, parse_relation, szpilrajn, validate
 from ordext.cli import COMMANDS, build_parser, main
 
@@ -582,3 +585,147 @@ class TestWriteFailure:
         finally:
             os.close(fd)
         assert (code, capsys.readouterr().err) == (2, self.MESSAGE)
+
+
+class TestStreamedOutput:
+    """Output is written as it is made: when the first write finds the reader gone, the
+    enumeration walk and the incomparable pairs have been drawn no further than that."""
+
+    @pytest.fixture
+    def closed_stdout(self, tmp_path):
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def fileno(self):
+                return fd
+
+        yield Closed()
+        os.close(fd)
+
+    @staticmethod
+    def counted(iterable, drawn):
+        for item in iterable:
+            drawn.append(item)
+            yield item
+
+    def test_enumerate(self, tmp_path, monkeypatch, closed_stdout):
+        drawn = []
+        walk = ordext.extension._extensions
+        monkeypatch.setattr(ordext.extension, "_extensions", lambda poset: self.counted(walk(poset), drawn))
+        target = tmp_path / "r.txt"
+        target.write_text("a\nb\nc\nd\ne\n---\n", encoding="utf-8")  # 120 orders
+        with contextlib.redirect_stdout(closed_stdout):
+            assert main(["enumerate", str(target)]) == 1
+        assert 1 <= len(drawn) <= 2
+
+    def test_incomparable(self, tmp_path, monkeypatch, closed_stdout):
+        drawn = []
+        pairs = cli.incomparable_pairs
+        monkeypatch.setattr(cli, "incomparable_pairs", lambda poset: self.counted(pairs(poset), drawn))
+        target = tmp_path / "r.txt"
+        target.write_text("a\nb\nc\nd\ne\nf\n---\n", encoding="utf-8")  # 15 pairs
+        with contextlib.redirect_stdout(closed_stdout):
+            assert main(["incomparable", "--output", "machine", str(target)]) == 1
+        assert 1 <= len(drawn) <= 2
+
+
+# Lines of each file format, and bad lines.  They hold six valid tokens (a, b, c, d, NUL
+# and é), so no input has more than 6! linear extensions.
+LINES = {
+    "relation": ["a < b", "c < d", "b < d", "é < \0", "d < a", "c < é"],
+    "sequence": ["a", "b", "c", "d", "\0", "é"],
+    "partition": ["a", "b", "c", "d", "---"],
+    "bijection": ["a -> d", "b -> c", "é -> \0", "d -> a"],
+}
+BAD_LINES = ["b < a", "a < a", "# note", "", "<", "a < b < c", "x y z", "a <", "-> d", "---"]
+
+# The format of each file argument, in order; validate's second one may be left out.
+FORMATS = {
+    "validate": ["relation", "sequence"], "closure": ["relation"], "linearize": ["relation"],
+    "szpilrajn": ["relation"], "enumerate": ["relation"], "count": ["relation"], "incomparable": ["relation"],
+    "bipartition": ["sequence"] * 3, "blocks": ["sequence", "partition"],
+    "interleave": ["sequence", "sequence", "bijection"], "dense-check": ["sequence"] * 3,
+}
+
+ELEMENTS = ["a", "b", "d", "é", "zz"]
+NUMBERS = ["0", "3", "99", "9" * 5000, "-1", "", "x", "-" + "9" * 5000]
+
+
+def _file_bytes(rng: random.Random, kind: str) -> bytes:
+    """Lines of format `kind`, or of every format and bad ones ("mixed"), cut by LF, CRLF or CR and
+    at times holding an invalid UTF-8 byte; or a few raw bytes ("raw")."""
+    if kind == "raw":
+        return rng.randbytes(rng.randrange(9))  # at most four tokens
+    pool = LINES.get(kind) or [line for lines in LINES.values() for line in lines] + BAD_LINES
+    lines = rng.choices(pool, k=rng.randrange(9))
+    data = "".join(line + rng.choice(["\n", "\n", "\r\n", "\r"]) for line in lines).encode()
+    if rng.random() < 0.1:
+        cut = rng.randrange(len(data) + 1)
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def _options(name: str) -> list[list[str]]:
+    """The options `name` takes, each with a value it may be given, good more often than bad."""
+    options = [["--output", mode] for mode in ("machine", "human") * 8 + ("json",)]
+    if name in TIE_BREAK_COMMANDS:
+        options += [["--tie-break", policy] for policy in ("lex", "input", "seed:3", "seed:" + "9" * 5000)]
+    return options + {
+        "validate": [["--auto-close"]],
+        "enumerate": [["--limit", n] for n in NUMBERS[:4] * 2 + NUMBERS],
+        "count": [["--cap", n] for n in NUMBERS[:4] * 2 + NUMBERS],
+        "szpilrajn": [["--force", x, y] for x in ELEMENTS for y in ELEMENTS],
+        "dense-check": [["--non-strict"]],
+    }.get(name, [])
+
+
+class TestNoTraceback:
+    """Whatever the command line and the files' bytes, `main` returns 0, 1 or 2 and raises
+    nothing, and a failure leaves an `error:` or `usage:` line on stderr."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(derandomize=True, deadline=None, max_examples=800)
+    @given(rng=st.randoms(use_true_random=True))
+    def test_status_and_message(self, folder, rng):
+        # A command, about as many files as it takes (mostly of their format, at times a missing
+        # file, a folder or one file twice), for incomparable up to three elements, and a few of
+        # its options, before or after the files.
+        name = rng.choice(list(FORMATS))
+        count = max(0, len(FORMATS[name]) + rng.choice([0] * 18 + [-1, 1]))
+        paths = []
+        for i, kind in enumerate((FORMATS[name] + ["sequence"])[:count]):
+            kind = rng.choice([kind] * 12 + ["mixed", "raw", "missing", "folder", "again"])
+            if kind == "missing":
+                paths.append(str(folder / "missing"))
+            elif kind == "folder":
+                paths.append(str(folder))
+            elif kind == "again" and paths:
+                paths.append(paths[-1])
+            else:
+                paths.append(str(folder / f"f{i}"))
+                with open(paths[-1], "wb") as handle:
+                    handle.write(_file_bytes(rng, "mixed" if kind == "again" else kind))
+        options = rng.choices(_options(name), k=rng.randrange(4))
+        split = rng.randrange(len(options) + 1)
+        argv = [name, *(word for option in options[:split] for word in option), *paths]
+        if name == "incomparable":
+            argv += rng.choices(ELEMENTS, k=rng.randrange(4))
+        argv += [word for option in options[split:] for word in option]
+        # Then at times a stray word put in or a word taken out, the command name included.
+        if rng.random() < 0.1:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(
+                ["--", "--bogus", "-x", "", "frobnicate", str(folder), *NUMBERS, *ELEMENTS]))
+        if rng.random() < 0.1:
+            del argv[rng.randrange(len(argv))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert any(line.startswith(("error:", "usage:")) for line in err.getvalue().splitlines()), argv

@@ -8,6 +8,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ordext import errors
 from ordext import (
     AntisymmetryViolation,
     ClosureCreatesReflexivePair,
@@ -680,3 +681,32 @@ class TestLinearOrderType:
     def test_duplicate_sequence_rejected(self):
         with pytest.raises(DuplicateElement):
             LinearOrder(("a", "b", "a"))
+
+
+class TestErrorWitness:
+    """`OrderError` keeps the witness keywords its subclasses hand it, as attributes and nothing else."""
+
+    def test_base_keeps_keywords(self):
+        exc = errors.OrderError("message", token="a", cycle=("a", "a"))
+        assert (str(exc), exc.args, vars(exc)) == ("message", ("message",), {"token": "a", "cycle": ("a", "a")})
+
+    @pytest.mark.parametrize("cls, args, witness", [
+        ("InvalidToken", (5, "not a string"), {"token": 5, "reason": "not a string"}),
+        ("DuplicateElement", ("a",), {"token": "a"}),
+        ("UnknownElement", ("a",), {"token": "a"}),
+        ("AntisymmetryViolation", (iter("aba"),), {"cycle": ("a", "b", "a")}),
+        ("NotClosed", (["a", "b", "c"],), {"triple": ("a", "b", "c")}),
+        ("ClosureCreatesReflexivePair", (["a", "a"],), {"cycle": ("a", "a")}),
+        ("NotIncomparable", ("a", "b"), {"first": "a", "second": "b", "held": None}),
+        ("NotIncomparable", ("a", "b", ("a", "b")), {"first": "a", "second": "b", "held": ("a", "b")}),
+        ("NotDisjoint", ("a", "A and B"), {"token": "a", "where": "A and B"}),
+        ("EmptySubset", ("A",), {"name": "A"}),
+        ("EmptyBlock", (2,), {"index": 2}),
+        ("NotBijective", ("not onto",), {"reason": "not onto", "token": None}),
+        ("CapExceeded", (21, 20), {"size": 21, "cap": 20}),
+    ])
+    def test_subclass_witness(self, cls, args, witness):
+        exc = getattr(errors, cls)(*args)
+        assert isinstance(exc, errors.OrderError)
+        assert vars(exc) == witness
+        assert exc.args == (str(exc),)
