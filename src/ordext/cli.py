@@ -7,16 +7,18 @@ non-disjoint subsets, broken bijections), 2 for malformed or unreadable
 files, bad usage, output that cannot be written (`error: cannot write
 output: ...`, say on a full disk) and running out of memory (`error: out
 of memory`).  A reader that closes the pipe early ends the run quietly
-with status 1.  Numbers, read or written, have no digit limit.  Output
-is a pure function of the inputs: identical files, flags, and seeds
-produce byte-identical bytes on every run.
+with status 1; one path in `main` ends every failed write.  Numbers,
+read or written, have no digit limit, `--tie-break seed:` included.
+Output is a pure function of the inputs: identical files, flags, and
+seeds produce byte-identical bytes on every run.
 
 A run builds the parser of its command alone, and imports the modules
 that command uses; `--help`, usage errors and an unknown command build
 the parser of every command.  Each handler returns its stdout as an
 iterable of strings (a generator for enumerated orders and incomparable
 pairs, so they are written as they are made); `main` alone writes it,
-flushes it and returns 0.
+flushes it and returns 0.  One handler serves `linearize` and
+`szpilrajn`: a linear extension is a Szpilrajn extension with no forced pair.
 
 The `validate` command checks a relation file exactly as given (opt-in
 closure via --auto-close).  The operating commands (linearize,
@@ -29,7 +31,7 @@ import argparse
 import os
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (
     DEFAULT_COUNT_CAP,
@@ -66,22 +68,22 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _load_poset(path: str) -> Poset:
+def _load_poset(path: str, auto_close: bool = True) -> Poset:
     ground, pairs = parse_relation(_read(path), path)
-    return validate(ground, pairs, auto_close=True)
+    return validate(ground, pairs, auto_close=auto_close)
 
 
 def _policy_arg(text: str) -> "TieBreakPolicy":
     from .policy import TieBreakPolicy
 
     try:
-        return TieBreakPolicy.parse(text)
+        return _unguarded(TieBreakPolicy.parse, text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _unguarded(convert: type, value: object) -> object:
-    """`convert(value)`, for `int` or `str`, free of the interpreter's cap on the digits of an int
+def _unguarded(convert: Callable, value: object) -> object:
+    """`convert(value)` free of the interpreter's cap on the digits of an int
     read or written (`sys.set_int_max_str_digits`, where it exists), which is restored afterwards."""
     if not hasattr(sys, "set_int_max_str_digits"):
         return convert(value)
@@ -110,8 +112,7 @@ def _emit(sequence: tuple[str, ...], mode: str) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> Iterable[str]:
-    ground, pairs = parse_relation(_read(args.relation), args.relation)
-    poset = validate(ground, pairs, auto_close=args.auto_close)
+    poset = _load_poset(args.relation, args.auto_close)
     if args.subset is not None:
         subset = parse_sequence(_read(args.subset), args.subset)
         poset = restrict(poset, subset)
@@ -125,18 +126,12 @@ def cmd_closure(args: argparse.Namespace) -> Iterable[str]:
     return [format_relation(closed)]
 
 
-def cmd_linearize(args: argparse.Namespace) -> Iterable[str]:
-    from .extension import linear_extension
-
-    order = linear_extension(_load_poset(args.relation), args.tie_break)
-    return [_emit(order.sequence, args.output)]
-
-
 def cmd_szpilrajn(args: argparse.Namespace) -> Iterable[str]:
     from .extension import ForcedPair, szpilrajn
 
     poset = _load_poset(args.relation)
-    forced = ForcedPair(*args.force) if args.force else None
+    force = vars(args).get("force")  # None for linearize, which has no --force
+    forced = ForcedPair(*force) if force else None
     return [_emit(szpilrajn(poset, forced, args.tie_break).output_order.sequence, args.output)]
 
 
@@ -237,7 +232,7 @@ COMMANDS = {
         _arg("--auto-close", action="store_true", help="close the relation instead of requiring closedness"),
     ]),
     "closure": (cmd_closure, "print the transitive closure of a relation file", [_RELATION]),
-    "linearize": (cmd_linearize, "print one linear extension", [_RELATION, _TIE_BREAK]),
+    "linearize": (cmd_szpilrajn, "print one linear extension", [_RELATION, _TIE_BREAK]),
     "szpilrajn": (cmd_szpilrajn, "linear extension, optionally through a forced pair", [
         _RELATION,
         _arg("--force", nargs=2, metavar=("A", "B"), help="require A before B; they must be incomparable"),
@@ -319,14 +314,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.writelines(args.func(args))
         sys.stdout.flush()
         return 0
-    except BrokenPipeError:
-        # The reader left early (`ordext enumerate ... | head`); drop the rest quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except OSError as exc:
-        # Files are read through _read, so this is a failed write to stdout (a full disk).
-        # Drop the unwritten rest, so the flush at exit reports nothing a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Files are read through _read, so this is a failed write to stdout: the reader left
+        # early (`ordext enumerate ... | head`; quietly) or the disk is full.  Drop the
+        # unwritten rest, so the flush at exit reports nothing a second time.
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 1
         sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
         return 2
     except MemoryError:

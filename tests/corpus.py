@@ -21,7 +21,8 @@ policy it takes from plain data first, and its bytes are the value (sets
 sorted, records spelled out field by field, a poset by its ground and
 sorted pairs) or the error's class, message and witness attributes.
 Argparse help and usage text is left out: its bytes depend on the
-terminal width and the Python version.
+terminal width and the Python version, so an argparse error keeps only
+its last line, the error itself.
 """
 
 from __future__ import annotations
@@ -182,6 +183,10 @@ def _cli_cases(rng: random.Random) -> dict[str, tuple]:
     cases["cli/good0.rel/enumerate-limit-5000-digits"] = (["enumerate", "good0.rel", "--limit", huge], good, {})
     cases["cli/good0.rel/count-cap-5000-digits"] = (["count", "good0.rel", "--cap", huge], good, {})
     cases["cli/good0.rel/enumerate-env-5000-digits"] = (["enumerate", "good0.rel"], good, {ENV_ENUM_LIMIT: huge})
+    # A seed is read like every other number: 5,000 zeros then 7 is seed 7, and 5,000 nines are out of range.
+    for name, seed in (("zero-padded-5001-digits", "0" * 5000 + "7"), ("5000-digits", huge)):
+        argv = ["linearize", "good0.rel", "--tie-break", f"seed:{seed}"]
+        cases[f"cli/good0.rel/linearize-seed-{name}"] = (argv, good, {})
     return cases
 
 
@@ -572,7 +577,10 @@ def _cli(argv: list[str], files: dict[str, bytes], env: dict[str, str], root: Pa
                 del os.environ[key]
             else:
                 os.environ[key] = value
-    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode()
+    errors = err.getvalue()
+    if errors.startswith("usage:"):  # an argparse error: keep its last line, not the wrapped usage
+        errors = errors.splitlines(keepends=True)[-1]
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{errors}".encode()
 
 
 def outputs(selected: dict[str, tuple]) -> dict[str, bytes]:

@@ -23,6 +23,34 @@ CHAIN = "a < b\nb < c\n"
 ANTICHAIN3 = "a\nb\nc\n---\n"
 DIAMOND = "0 < x\n0 < y\nx < 1\ny < 1\n"
 
+FD_DIR = "/proc/self/fd"
+
+
+def _open_descriptors() -> int | None:
+    return len(os.listdir(FD_DIR)) if os.path.isdir(FD_DIR) else None
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left_open():
+    """Fails any test after which the process holds more open descriptors than before it."""
+    before = _open_descriptors()
+    yield
+    after = _open_descriptors()
+    assert before is None or after <= before, f"{after - before} more open descriptors after the test"
+
+
+def _failing_stdout(fd: int, error: OSError) -> io.StringIO:
+    """A stdout on descriptor `fd` whose every write raises `error`."""
+
+    class Failing(io.StringIO):
+        def write(self, text):
+            raise error
+
+        def fileno(self):
+            return fd
+
+    return Failing()
+
 
 @pytest.fixture
 def run(capsys, tmp_path):
@@ -367,6 +395,21 @@ class TestNumbersPastTheDigitGuard:
         assert code == 2
         assert "not an integer" in err
 
+    @pytest.mark.parametrize("argv, files", [
+        (["linearize", "r"], {"r": ANTICHAIN3}),
+        (["szpilrajn", "r"], {"r": ANTICHAIN3}),
+        (["bipartition", "g", "a", "b"], {"g": "a\nb\nc\nd\ne\n", "a": "a\nb\n", "b": "e\n"}),
+    ])
+    def test_zero_padded_seed(self, run, argv, files):
+        padded = run(*argv, "--tie-break", "seed:" + "0" * 5000 + "7", files=files)
+        assert padded[0] == 0
+        assert padded == run(*argv, "--tie-break", "seed:7", files=files)
+
+    def test_seed_out_of_range(self, run):
+        code, out, err = run("linearize", "--tie-break", "seed:" + self.HUGE, "r", files={"r": ANTICHAIN3})
+        assert (code, out) == (2, "")
+        assert "seed out of unsigned 64-bit range" in err
+
 
 class TestOutOfMemory:
     def test_error_line_and_status_2(self, run, monkeypatch):
@@ -571,20 +614,30 @@ class TestWriteFailure:
         target = tmp_path / "r.txt"
         target.write_text(DIAMOND, encoding="utf-8")
         fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
-
-        class Full(io.StringIO):
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-            def fileno(self):
-                return fd
-
         try:
-            with contextlib.redirect_stdout(Full()):
+            with contextlib.redirect_stdout(_failing_stdout(fd, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))):
                 code = main(["linearize", str(target)])
         finally:
             os.close(fd)
         assert (code, capsys.readouterr().err) == (2, self.MESSAGE)
+
+    @pytest.mark.skipif(not os.path.isdir(FD_DIR), reason=f"needs {FD_DIR}")
+    def test_failed_writes_leave_no_descriptor_open(self, tmp_path, capsys):
+        target = tmp_path / "r.txt"
+        target.write_text(DIAMOND, encoding="utf-8")
+        errors = [BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))] * 3
+        errors += [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))] * 2
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        try:
+            before = _open_descriptors()
+            codes = []
+            for error in errors:
+                with contextlib.redirect_stdout(_failing_stdout(fd, error)):
+                    codes.append(main(["linearize", str(target)]))
+            assert (codes, _open_descriptors()) == ([1, 1, 1, 2, 2], before)
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == 2 * self.MESSAGE
 
 
 class TestStreamedOutput:
@@ -594,15 +647,7 @@ class TestStreamedOutput:
     @pytest.fixture
     def closed_stdout(self, tmp_path):
         fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
-
-        class Closed(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
-
-            def fileno(self):
-                return fd
-
-        yield Closed()
+        yield _failing_stdout(fd, BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)))
         os.close(fd)
 
     @staticmethod
