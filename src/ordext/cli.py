@@ -45,7 +45,7 @@ from .core import (
     restrict,
     validate,
 )
-from .errors import OrderError, ParseError
+from .errors import OrderError, ParseError, _decimal
 from .formats import (
     format_relation,
     parse_bijection,
@@ -84,7 +84,7 @@ def _policy_arg(text: str) -> "TieBreakPolicy":
 
 def _unguarded(convert: Callable, value: object) -> object:
     """`convert(value)` free of the interpreter's cap on the digits of an int
-    read or written (`sys.set_int_max_str_digits`, where it exists), which is restored afterwards."""
+    read (`sys.set_int_max_str_digits`, where it exists), which is restored afterwards."""
     if not hasattr(sys, "set_int_max_str_digits"):
         return convert(value)
     cap = sys.get_int_max_str_digits()
@@ -162,7 +162,7 @@ def cmd_count(args: argparse.Namespace) -> Iterable[str]:
     from .extension import count_linear_extensions
 
     poset = _load_poset(args.relation)
-    return [_unguarded(str, count_linear_extensions(poset, args.cap)) + "\n"]
+    return [_decimal(count_linear_extensions(poset, args.cap)) + "\n"]
 
 
 def cmd_incomparable(args: argparse.Namespace) -> Iterable[str]:

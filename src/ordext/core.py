@@ -7,11 +7,13 @@ order and doubles as the default tie-break source.  A `Poset` stores the
 relation only as successor and predecessor bitmasks indexed by ground
 position, plus each position's covers (the transitive reduction, which
 linearization walks); its pairs are built on request.  One reach pass,
-`_reach`, gives masks and covers alike: `_close` runs it back and forth
-along a plain queue's topological order, or finding none raises its
-caller's error class with a shortest cycle as witness; `Poset` runs it
-over a copy of the masks it verifies, which are closed exactly when the
-pass changes none, and `restrict` over the masks it keeps.  Closing and
+`_reach`, gives successor masks and covers alike, fed rows decoded once:
+`_close` closes `pred` inside its plain Kahn queue, then runs the pass
+back along the queue's order, or, when the queue stops short, raises its
+caller's error class with a shortest cycle as witness before any
+successor mask changes; `Poset` runs it over a copy of the masks it
+verifies, which are closed exactly when the pass changes none, and
+`restrict` over the masks it keeps.  Closing and
 linearizing keep separate loops: `extension.linear_extension` ranks its
 frontier, which closing has no use for, and closing every seed-5
 benchmark relation file through that ranked loop was 12-18% slower
@@ -35,6 +37,7 @@ from .errors import (
     InvalidToken,
     NotClosed,
     UnknownElement,
+    _decimal,
 )
 
 Pair = tuple[str, str]
@@ -64,7 +67,10 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        shown = ", ".join(
+            f"{name}={_decimal(value) if type(value) is int else repr(value)}"
+            for name, value in zip(self._fields, self._values())
+        )
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -162,14 +168,14 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int]) -> tuple[list[int], lis
     return succ, pred, stray
 
 
-def _reach(succ: list[int], order: Iterable[int]) -> list[int]:
-    """Along `order`, OR into each mask the masks of its successors, in place, and return each
-    position's covers: the successors that no other successor reaches.  Along a reverse
-    topological order this closes the masks; on closed masks it changes nothing."""
+def _reach(succ: list[int], order: Iterable[int], rows: Iterable[Iterable[int]]) -> list[int]:
+    """Along `order`, OR into each mask, in place, the masks of its successors, which `rows` lists in
+    step with `order`, and return each position's covers: the successors no other successor reaches.
+    Along a reverse topological order this closes the masks; on closed masks it changes nothing."""
     cover = [0] * len(succ)
-    for i in order:
+    for i, row in zip(order, rows):
         reach = 0
-        for j in bits(succ[i]):
+        for j in row:
             reach |= succ[j]
         cover[i] = succ[i] & ~reach
         succ[i] |= reach
@@ -219,7 +225,7 @@ class Poset(_Record):
             if both := mask & pred[i]:
                 raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
         reached = succ.copy()
-        cover = _reach(reached, range(len(g)))
+        cover = _reach(reached, range(len(g)), map(bits, succ))
         if reached != succ:  # not closed: name the first missing pair's triple
             for i, mask in enumerate(succ):
                 for j in bits(mask):
@@ -318,19 +324,22 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[
 
 def _close(nodes: Sequence[str], succ: list[int], pred: list[int], cycle: type, starts: Iterable[int]) -> Poset:
     """The poset of the reachability closure, or `cycle` raised on a shortest cycle from `starts`, found
-    before any mask changes; `succ` and its transpose `pred` are closed in place along any topological
-    order, which a plain queue gives: a node joins it once its last predecessor has."""
+    before any successor mask changes.  A node joins the plain queue once its last predecessor has, so
+    `pred[i]` is closed when `i` is dequeued and ORed into its successors' there; `succ` is then closed
+    in place back along the queue's topological order, each input row decoded once."""
+    rows = list(map(bits, succ))
     order = [i for i, mask in enumerate(pred) if not mask]
     indegree = [mask.bit_count() for mask in pred]
     for i in order:
-        for j in bits(succ[i]):
+        for j in rows[i]:
+            pred[j] |= pred[i]
             indegree[j] -= 1
             if not indegree[j]:
                 order.append(j)
     if len(order) < len(nodes):
         raise cycle(_shortest_cycle(nodes, succ, starts))
-    cover = _reach(succ, reversed(order))
-    _reach(pred, order)
+    order.reverse()
+    cover = _reach(succ, order, map(rows.__getitem__, order))
     return _closed_poset(nodes, succ, pred, cover)
 
 
@@ -396,13 +405,19 @@ def restrict(poset: Poset, subset: Iterable[str]) -> Poset:
 
     Restriction of a closed relation is closed, so the result is read off
     the masks of the kept positions without a second verification; one
-    reach pass over them, which changes none, gives its covers.
+    reach pass over them, which changes none, gives its covers.  Rows are
+    remapped in C: a row's binary digits, lowest first, are read at the
+    kept positions in subset order and reversed into an int.
     """
     sub = check_ground(subset)
-    new = {poset.index(tok): k for k, tok in enumerate(sub)}
-    succ = [sum(1 << new[j] for j in bits(poset.succ[i]) if j in new) for i in new]
-    pred = [sum(1 << new[j] for j in bits(poset.pred[i]) if j in new) for i in new]
-    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub))))
+    keep = list(map(poset.index, sub))
+    top = 1 << len(poset.ground)  # a leading 1 that gives every row all its digits
+    succ, pred = (
+        [int(bytes(map(bin(masks[i] | top)[:2:-1].encode().__getitem__, keep))[::-1], 2) for i in keep]
+        for masks in (poset.succ, poset.pred)
+    )
+    rows = (compress(range(len(sub)), bin(mask)[:1:-1].encode().translate(_DIGITS)) for mask in succ)
+    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), rows))
 
 
 def order_from_enumeration(sequence: Iterable[str]) -> LinearOrder:

@@ -6,8 +6,21 @@ diagnostic instead of a bare failure.  The base class `OrderError` keeps
 the witness: each subclass builds its message and hands the witness to
 it as keywords, which become the error's attributes.  `ParseError` is
 kept outside the domain hierarchy: the CLI maps domain errors to exit
-code 1 and parse or usage problems to exit code 2.
+code 1 and parse or usage problems to exit code 2.  Numbers in messages
+and reprs are written by `_decimal` at any length.
 """
+
+_SHORT = 10**640  # below it, `str` is within the least digit cap the interpreter accepts
+
+
+def _decimal(n: int) -> str:
+    """`str(n)` at any length, leaving the interpreter's cap on the digits of an int written
+    (`sys.set_int_max_str_digits`) as it is: a long int is written in two halves."""
+    if -_SHORT < n < _SHORT:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half its digits, since log10(2) > 0.3
+    high, low = divmod(abs(n), 10**half)
+    return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
 
 
 class OrderError(Exception):
@@ -113,4 +126,4 @@ class NotBijective(OrderError):
 
 class CapExceeded(OrderError):
     def __init__(self, size: int, cap: int):
-        super().__init__(f"ground size {size} exceeds the counting cap {cap}", size=size, cap=cap)
+        super().__init__(f"ground size {size} exceeds the counting cap {_decimal(cap)}", size=size, cap=cap)

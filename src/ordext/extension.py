@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .core import DEFAULT_COUNT_CAP, DEFAULT_ENUM_LIMIT  # noqa: F401  (public names of this module too)
 from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, bits, check_token
-from .errors import CapExceeded, NotIncomparable
+from .errors import CapExceeded, NotIncomparable, _decimal
 
 if TYPE_CHECKING:  # a policy given is already loaded, and without one none is needed
     from .policy import TieBreakPolicy
@@ -218,7 +218,7 @@ def enumerate_linear_extensions(
     if limit is None:
         limit = DEFAULT_ENUM_LIMIT
     if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+        raise ValueError(f"limit must be nonnegative, got {_decimal(limit)}")
     walk = _extensions(poset)
     orders = tuple(map(_linear_order, islice(walk, min(limit, sys.maxsize))))
     return Enumeration(orders=orders, truncated=next(walk, None) is not None, limit=limit)

@@ -4,10 +4,11 @@ All four formats share one lexical layer: UTF-8 text, blank lines and
 lines starting with `#` ignored, `---` on a line of its own as the only
 structural separator.  Parsers raise :class:`ParseError` (exit 2 at the
 CLI) for malformed text; whether the parsed object makes sense is the
-library's business and surfaces as a domain error (exit 1).  Every
-reader checks its tokens as one batch and walks them in file order only
-when the batch fails, so the error named is the first bad token or
-malformed line, a line's structure before its tokens.
+library's business and surfaces as a domain error (exit 1).  A file is
+read as a batch: lines stripped and filtered, a relation body split at
+`<` and checked by whole columns, all tokens by one `_valid_tokens` call;
+only a failed check walks the numbered lines, to name the first bad
+token or malformed line, a line's structure before its tokens.
 
 - relation: optional ground header, one element per line, then `---`,
   then one pair per line as `x < y`.  Without a separator every line is
@@ -18,7 +19,8 @@ malformed line, a line's structure before its tokens.
 - bijection: one mapping per line as `y -> x`, whitespace-separated.
 """
 
-from typing import TYPE_CHECKING
+from itertools import chain, compress, count, repeat
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import Pair, Poset, _valid_tokens, bits, check_token
 from .errors import InvalidToken, ParseError
@@ -27,59 +29,49 @@ if TYPE_CHECKING:  # imported by the two readers that build them, so the others 
     from .constructions import Bijection, Partition
 
 
-def _meaningful_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, line))
-    return out
+def _lines(text: str) -> list[str]:
+    """The meaningful lines, stripped: blank lines and `#` lines dropped."""
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
-def _sections(text: str) -> tuple[list[list[tuple[int, str]]], list[int]]:
-    """The meaningful lines cut at each `---` line, and those lines' numbers."""
-    sections: list[list[tuple[int, str]]] = [[]]
-    cuts: list[int] = []
-    for lineno, line in _meaningful_lines(text):
-        if line == "---":
-            cuts.append(lineno)
-            sections.append([])
-        else:
-            sections[-1].append((lineno, line))
-    return sections, cuts
+def _one_token(line: str) -> list[str]:
+    fields = line.split()
+    if len(fields) != 1:
+        raise ValueError("expected one element per line")
+    return fields
 
 
-def _checked(token: str, path: str | None, lineno: int) -> str:
-    """`token` checked; a bad one is a parse error at `lineno`."""
-    try:
-        return check_token(token)
-    except InvalidToken as exc:
-        raise ParseError(str(exc), path, lineno) from None
+def _pair(line: str) -> tuple[str, str]:
+    left, angle, right = line.partition("<")
+    if not angle or "<" in right:
+        raise ValueError("more than one '<' on the line" if angle else "expected a pair written as 'x < y'")
+    return left.strip(), right.strip()
 
 
-def _line_tokens(lines: list[tuple[int, str]], path: str | None) -> tuple[str, ...]:
-    """The one token of each line, checked as one batch and walked line by line only if it fails."""
-    tokens = tuple(line for _, line in lines)
-    if not _valid_tokens(tokens):
-        for lineno, line in lines:
-            fields = line.split()
-            if len(fields) != 1:
-                raise ParseError("expected one element per line", path, lineno)
-            _checked(fields[0], path, lineno)
-    return tokens
+def _mapping(line: str) -> tuple[str, str]:
+    fields = line.split()
+    if len(fields) != 3 or fields[1] != "->":
+        raise ValueError("expected a mapping written as 'y -> x'")
+    return fields[0], fields[2]
 
 
-def _check_two_per_line(tokens: list[str], lines: list[tuple[int, str]], path: str | None) -> None:
-    """Check the first lines' tokens, two to a line, as one batch, walked only if it fails."""
-    if not _valid_tokens(tuple(tokens)):
-        for i, tok in enumerate(tokens):
-            _checked(tok, path, lines[i // 2][0])
+def _numbered(text: str) -> list[tuple[int, str]]:
+    """The meaningful lines with their line numbers, read only to name where a batch check failed."""
+    return [(n, s) for n, s in enumerate(map(str.strip, text.splitlines()), 1) if s and s[0] != "#"]
 
 
-def parse_relation(
-    text: str, path: str | None = None
-) -> tuple[tuple[str, ...], list[Pair]]:
+def _walk(lines: list[tuple[int, str]], path: str | None, split: Callable[[str], Iterable[str]]) -> None:
+    """Raise at the first of `lines` that `split` rejects or that holds a bad token, a line's
+    structure before its tokens: the error path of a reader whose batch check failed."""
+    for lineno, line in lines:
+        try:
+            for token in split(line):
+                check_token(token)
+        except (ValueError, InvalidToken) as exc:
+            raise ParseError(str(exc), path, lineno) from None
+
+
+def parse_relation(text: str, path: str | None = None) -> tuple[tuple[str, ...], list[Pair]]:
     """Read a relation file into (ground sequence, pair list).
 
     The ground keeps the header order; elements appearing only in pairs
@@ -87,29 +79,31 @@ def parse_relation(
     problems are left for validation, which reports them as domain
     errors with witnesses.
     """
-    sections, cuts = _sections(text)
-    if len(cuts) > 1:
-        raise ParseError("more than one '---' separator", path, cuts[1])
-    header, body = sections if cuts else ([], sections[0])
-
-    ground = _line_tokens(header, path)
-    tokens: list[str] = []
-    for lineno, line in body:
-        left, angle, right = line.partition("<")
-        if not angle or "<" in right:
-            _check_two_per_line(tokens, body, path)  # a bad token on an earlier line comes first
-            problem = "more than one '<' on the line" if angle else "expected a pair written as 'x < y'"
-            raise ParseError(problem, path, lineno)
-        tokens += (left.strip(), right.strip())
-    _check_two_per_line(tokens, body, path)
-    known = set(ground)
-    ground += tuple(tok for tok in dict.fromkeys(tokens) if tok not in known)
-    return ground, list(zip(tokens[::2], tokens[1::2]))
+    lines = _lines(text)
+    cut = lines.index("---") if "---" in lines else -1  # -1: no header, every line a pair
+    ground, body = tuple(lines[: max(cut, 0)]), lines[cut + 1 :]
+    lefts, angles, rights = tuple(zip(*map(str.partition, body, repeat("<")))) or ((), (), ())
+    pairs = list(zip(map(str.strip, lefts), map(str.strip, rights)))
+    tokens = (*ground, *chain.from_iterable(pairs))
+    if "" in angles or "<" in "".join(rights) or not _valid_tokens(tokens):  # a second `---` has no `<`
+        # The error path: a second `---`, then a bad header line, then the body line by line.
+        lines = _numbered(text)
+        cuts = [k for k, (_, line) in enumerate(lines) if line == "---"]
+        if len(cuts) > 1:
+            raise ParseError("more than one '---' separator", path, lines[cuts[1]][0])
+        header, body = (lines[: cuts[0]], lines[cuts[0] + 1 :]) if cuts else ([], lines)
+        if not _valid_tokens(ground):
+            _walk(header, path, _one_token)
+        _walk(body, path, _pair)
+    return ground + tuple(dict.fromkeys(tokens))[len(set(ground)) :], pairs
 
 
 def parse_sequence(text: str, path: str | None = None) -> tuple[str, ...]:
     """Read a sequence file: one element per line, order preserved."""
-    return _line_tokens(_meaningful_lines(text), path)
+    tokens = tuple(_lines(text))
+    if not _valid_tokens(tokens):
+        _walk(_numbered(text), path, _one_token)
+    return tokens
 
 
 def parse_partition(text: str, path: str | None = None) -> "Partition":
@@ -121,25 +115,23 @@ def parse_partition(text: str, path: str | None = None) -> "Partition":
     """
     from .constructions import Partition
 
-    sections, cuts = _sections(text)
-    blocks = tuple(_line_tokens(section, path) for section in sections)
-    return Partition(blocks if cuts or blocks[0] else ())
+    lines = _lines(text)
+    cuts = list(compress(count(), map("---".__eq__, lines)))
+    blocks = tuple(tuple(lines[start + 1 : cut]) for start, cut in zip([-1, *cuts], [*cuts, len(lines)]))
+    if not _valid_tokens(tuple(chain.from_iterable(blocks))):
+        _walk([(n, line) for n, line in _numbered(text) if line != "---"], path, _one_token)
+    return Partition(blocks if len(blocks) > 1 or blocks[0] else ())
 
 
 def parse_bijection(text: str, path: str | None = None) -> "Bijection":
     """Read a bijection file: one mapping per line as `y -> x`."""
     from .constructions import Bijection
 
-    lines = _meaningful_lines(text)
-    tokens: list[str] = []
-    for lineno, line in lines:
-        fields = line.split()
-        if len(fields) != 3 or fields[1] != "->":
-            _check_two_per_line(tokens, lines, path)  # a bad token on an earlier line comes first
-            raise ParseError("expected a mapping written as 'y -> x'", path, lineno)
-        tokens += (fields[0], fields[2])
-    _check_two_per_line(tokens, lines, path)
-    return Bijection(tuple(zip(tokens[::2], tokens[1::2])))
+    rows = list(map(str.split, _lines(text)))
+    ys, arrows, xs = tuple(zip(*rows)) if set(map(len, rows)) == {3} else ((), (), ())
+    if len(ys) != len(rows) or set(arrows) - {"->"} or not _valid_tokens(ys + xs):
+        _walk(_numbered(text), path, _mapping)
+    return Bijection(tuple(zip(ys, xs)))
 
 
 def format_relation(poset: Poset) -> str:

@@ -42,13 +42,13 @@ def random_poset(rng: random.Random, n: int, density: float | None = None) -> Po
 
 
 def assert_matches_verified(poset: Poset) -> None:
-    """`poset` equals, hashes like, and holds the same masks, pairs and repr as
-    `Poset(ground, relation)`, which rebuilds the masks from the pairs and
-    verifies every axiom."""
+    """`poset` equals, hashes like, and holds the same masks, covers, pairs and
+    repr as `Poset(ground, relation)`, which rebuilds the masks from the pairs
+    and verifies every axiom."""
     verified = Poset(poset.ground, poset.relation)
     assert poset == verified
     assert hash(poset) == hash(verified)
-    assert (poset.succ, poset.pred) == (verified.succ, verified.pred)
+    assert (poset.succ, poset.pred, poset._cover) == (verified.succ, verified.pred, verified._cover)
     assert poset.relation == verified.relation
     assert repr(poset) == repr(verified)
 

@@ -15,8 +15,11 @@ token occurrence, collecting the ground in a second pass and cutting
 partition blocks in their own `---` loop instead of one shared section
 reader, and the ground check, the sequence and bijection readers and
 the `Partition` and `Bijection` constructors by checking one token at a
-time instead of one batch, and the eight record classes by frozen
-dataclasses instead of one hand-written base.  Agreement between the
+time instead of one batch, the shortest-cycle witness of an acyclic
+relation plus one back edge by distances from the edge's two ends and
+a greedy walk instead of a breadth-first search from each start, and
+the eight record classes by frozen dataclasses instead of one
+hand-written base.  Agreement between the
 routes is what the property tests assert.
 """
 
@@ -98,10 +101,50 @@ def closure_fixpoint(pairs) -> set[tuple[str, str]]:
         rel |= new
 
 
+def back_edge_cycle(nodes, pairs, back) -> tuple[str, ...]:
+    """The shortest cycle a closure names when the back edge (y, x), x below y, joins the acyclic
+    `pairs` over `nodes`, breadth-first searches starting at each node in turn.  Every cycle runs
+    through the edge, so the shortest have 1 + d(x, y) edges and pass exactly the nodes s with
+    d(x, s) + d(s, y) = d(x, y).  The first such s in `nodes` starts the witness, which is the
+    shortest cycle through s whose nodes, by position in `nodes`, are lexicographically least."""
+    position = {v: k for k, v in enumerate(nodes)}
+    succ = {v: [] for v in nodes}
+    pred = {v: [] for v in nodes}
+    for a, b in chain(pairs, [back]):
+        succ[a].append(b)
+        pred[b].append(a)
+
+    def distances(source, step):
+        """Edge counts from `source` along `step`, layer by layer."""
+        dist, frontier = {source: 0}, [source]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in step[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        reached.append(w)
+            frontier = reached
+        return dist
+
+    y, x = back
+    from_x, to_y = distances(x, succ), distances(y, pred)
+    length = from_x[y] + 1
+    start = next(s for s in nodes if from_x.get(s, length) + to_y.get(s, length) == length - 1)
+    to_start = distances(start, pred)
+    cycle = [start]
+    for left in range(length - 1, -1, -1):
+        cycle.append(min((w for w in succ[cycle[-1]] if to_start.get(w) == left), key=position.__getitem__))
+    return tuple(cycle)
+
+
 def transitive_reduction(poset: Poset) -> set[tuple[str, str]]:
     """The closed pairs minus the two-step ones: the pairs with nothing strictly between."""
     rel = poset.relation
-    return set(rel) - {(x, z) for x, y in rel for w, z in rel if y == w}
+    after = {}
+    for w, z in rel:
+        after.setdefault(w, []).append(z)
+    return set(rel) - {(x, z) for x, y in rel for z in after.get(y, ())}
 
 
 def extensions_by_filter(poset: Poset) -> set[tuple[str, ...]]:

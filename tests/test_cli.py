@@ -353,7 +353,8 @@ class TestCount:
 
 class TestNumbersPastTheDigitGuard:
     """Counts and numeric options of any length: the interpreter's default cap of 4,300 digits
-    on int/str conversion, where it exists, is lifted while one is read or written, then restored."""
+    on int/str conversion, where it exists, is lifted while a number is read, then restored, and
+    left as it is while a count is written."""
 
     HUGE = "9" * 5000
 

@@ -3,7 +3,7 @@
 import random
 from dataclasses import FrozenInstanceError
 from functools import partial
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,16 +35,18 @@ from ordext import (
     validate,
 )
 from ordext.cli import main
-from ordext.core import _valid_tokens
+from ordext.core import _valid_tokens, bits
 
 from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset
 from oracles import (
+    back_edge_cycle,
     check_ground_reference,
     closure_fixpoint,
     first_two_cycle,
     first_unclosed_triple,
     incomparable_by_double_loop,
     strict_order_axioms_hold,
+    transitive_reduction,
 )
 
 
@@ -379,6 +381,14 @@ class TestRestrict:
             restrict(diamond(), ("x", "q", "p"))
         assert info.value.token == "q"
 
+    def test_long_chain_matches_verified(self):
+        poset = chain(1000)
+        for sub in (poset.ground[::2], random.Random(25).sample(poset.ground, 400)):
+            kept = set(sub)
+            verified = Poset(sub, combinations([tok for tok in poset.ground if tok in kept], 2))
+            result = restrict(poset, sub)
+            assert (result.succ, result.pred, result._cover) == (verified.succ, verified.pred, verified._cover)
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.integers(0, 60), st.floats(0, 1), st.integers(0, 2**32), st.floats(0, 1))
     @example(60, 0.5, 1, 0.0)
@@ -535,6 +545,63 @@ class TestAgainstOraclesAtSize:
             assert info.value.triple == triple
             raised += 1
         assert raised > 20
+
+
+def scale_input(rng: random.Random, family: str, n: int):
+    """A seeded input of `family` on n elements: its shuffled ground, its pairs in random order
+    with two-step (redundant) and repeated ones mixed in, and the covers it is built from."""
+    hidden = [f"v{k}" for k in rng.sample(range(10**6), n)]  # the order the pairs follow
+    if family == "chain":
+        covers = list(zip(hidden, hidden[1:]))
+    elif family == "broom":  # a 20-element handle with every other element above its top
+        covers = [*zip(hidden[:19], hidden[1:20]), *((hidden[19], leaf) for leaf in hidden[20:])]
+    elif family == "layers":  # 4 layers, each element above 1-3 of the layer below
+        layers = [hidden[k * n // 4 : (k + 1) * n // 4] for k in range(4)]
+        covers = list(dict.fromkeys(
+            (rng.choice(low), v) for low, high in zip(layers, layers[1:]) for v in high for _ in range(rng.randint(1, 3))
+        ))
+    elif family == "chains":  # disjoint chains of 30
+        covers = [pair for k in range(0, n, 30) for pair in zip(hidden[k : k + 29], hidden[k + 1 : k + 30])]
+    else:
+        covers = []
+    above = {}
+    for a, b in covers:
+        above.setdefault(a, []).append(b)
+    two_step = [(a, c) for a, b in rng.sample(covers, len(covers) // 4) for c in above.get(b, [])[:1]]
+    pairs = covers + two_step + rng.sample(covers, len(covers) // 10)
+    rng.shuffle(pairs)
+    ground = hidden.copy()
+    rng.shuffle(ground)
+    return ground, pairs, set(covers)
+
+
+class TestScaleTier:
+    """Closing at 500-3,000 elements, where the suite's other closing tests never go, against
+    the verifying constructor, the covers each input is built from, the transitive-reduction
+    oracle where it is cheap, and the shortest-cycle oracle once one back edge is added."""
+
+    @pytest.mark.parametrize("family, n, seed", [
+        ("chain", 600, 1), ("broom", 3000, 2), ("layers", 2000, 3), ("antichain", 3000, 4), ("chains", 1500, 5),
+    ])
+    def test_closing(self, family, n, seed):
+        rng = random.Random(seed)
+        ground, pairs, covers = scale_input(rng, family, n)
+        poset = validate(ground, pairs, auto_close=True)
+        verified = Poset(ground, poset.relation)
+        assert (poset.succ, poset.pred, poset._cover) == (verified.succ, verified.pred, verified._cover)
+        g = poset.ground
+        assert {(x, g[j]) for x, mask in zip(g, poset._cover) for j in bits(mask)} == covers
+        if family != "chain":  # the oracle composes every pair with its end's successors
+            assert covers == transitive_reduction(poset)
+        if not covers:
+            return
+        x, y = rng.choice(sorted(poset.relation))
+        cycle = back_edge_cycle(ground, pairs, (y, x))
+        with pytest.raises(ClosureCreatesReflexivePair) as closing:
+            transitive_closure([*pairs, (y, x)], node_order=ground)
+        with pytest.raises(AntisymmetryViolation) as validating:
+            validate(ground, [*pairs, (y, x)], auto_close=True)
+        assert closing.value.cycle == validating.value.cycle == cycle
 
 
 class TestClosedPosetsMatchVerifiedOnes:

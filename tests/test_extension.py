@@ -1,6 +1,7 @@
 """Extension pipeline and its two oracles."""
 
 import random
+import sys
 from math import factorial, prod
 
 import pytest
@@ -26,6 +27,7 @@ from ordext import (
     validate,
 )
 from ordext.core import bits
+from ordext.errors import _decimal
 from ordext.extension import _extensions
 
 from helpers import (
@@ -596,3 +598,58 @@ class TestCount:
             assert count_linear_extensions(poset) == len(
                 enumerate_linear_extensions(poset)
             )
+
+
+class TestNumbersOfAnyLength:
+    """Limits and caps past the interpreter's default cap of 4,300 digits on int-to-str conversion
+    are written in full, and the cap, where it exists, is never changed."""
+
+    HUGE = 10**5000 + 7
+    DIGITS = "1" + "0" * 4999 + "7"
+
+    @pytest.fixture(autouse=True)
+    def cap_untouched(self, monkeypatch):
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if cap is not None:
+            def refuse(value):
+                raise AssertionError("the process-wide digit cap was changed")
+
+            monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        yield
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
+    def test_enumeration_repr(self):
+        assert repr(enumerate_linear_extensions(chain(2), self.HUGE)) == (
+            "Enumeration(orders=(LinearOrder(sequence=('c0', 'c1')),), truncated=False, limit=" + self.DIGITS + ")"
+        )
+
+    def test_negative_cap_is_exceeded(self):
+        with pytest.raises(CapExceeded) as info:
+            count_linear_extensions(chain(2), cap=-self.HUGE)
+        assert str(info.value) == "ground size 2 exceeds the counting cap -" + self.DIGITS
+        assert (info.value.size, info.value.cap) == (2, -self.HUGE)
+
+    def test_negative_limit(self):
+        with pytest.raises(ValueError, match="^limit must be nonnegative, got -" + self.DIGITS + "$"):
+            enumerate_linear_extensions(chain(2), -self.HUGE)
+
+    def test_digits_match_str_in_chunks(self):
+        rng = random.Random(43)
+        for size in (1, 639, 640, 641, 4300, 4301, 9000, 20000):
+            digits = str(rng.randrange(1, 10)) + "".join(str(rng.randrange(10)) for _ in range(size - 1))
+            n = 0
+            for k in range(0, size, 600):  # read 600 digits at a time, within any cap
+                chunk = digits[k : k + 600]
+                n = n * 10 ** len(chunk) + int(chunk)
+            assert (_decimal(n), _decimal(-n)) == (digits, "-" + digits)
+        assert (_decimal(0), _decimal(10**640), _decimal(10**640 - 1)) == ("0", "1" + "0" * 640, "9" * 640)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap on this interpreter")
+def test_digits_under_the_least_digit_cap():
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _decimal(10**5000 + 7) == "1" + "0" * 4999 + "7"
+    finally:
+        sys.set_int_max_str_digits(cap)

@@ -239,25 +239,35 @@ class TestFormatRelation:
         assert ground == ("lonely", "a", "b")
 
 
-# Lines a relation, sequence or partition file can hold, good and malformed.
+# Lines a relation, sequence or partition file can hold, good and malformed, with tabs and
+# spaces around `<` and with the other line breaks `str.splitlines` honours inside a line.
 _LINES = [
     "a", "b", "c", " a ", "a b", "#x", "# note", "", "\t", "---", " --- ",
     "a < b", "b<c", "c < a", "a < a", "a < #x", "#x < a", "a <", "< b", "<<",
     "a < b < c", "a b < c", "--- < a", "a\xa0b", "\u3000c", "-",
+    "a\t<\tb", "a <b", "a< b ", "a < b<", "a\x0bb", "b < c\x0c", "\x1ca < c", "c\x85---", "b <\u2028a",
 ]
 
 # Lines a bijection file can hold, good and malformed.
 _MAPPINGS = [
     "a -> b", "b -> c", "c -> a", "x -> y", "a->b", "a -> b c", "-> b", "a -> #x",
     "a -> <", "a -> ---", "y\xa0-> x", "# note", "", "a => b",
+    "a\t->\tb", "b -> c\x0bx", "x ->\x85y", "\u2028c -> a",
 ]
+
+
+def _joined(lines):
+    """Texts of up to 10 of `lines`, joined by LF or by CRLF."""
+    return st.tuples(st.lists(st.sampled_from(lines), max_size=10), st.sampled_from(["\n", "\r\n"])).map(
+        lambda drawn: drawn[1].join(drawn[0])
+    )
 
 
 class TestReadersMatchReference:
     """The readers against the `oracles` ones, which check every token occurrence."""
 
-    texts = st.lists(st.sampled_from(_LINES), max_size=10).map("\n".join)
-    mappings = st.lists(st.sampled_from(_MAPPINGS), max_size=10).map("\n".join)
+    texts = _joined(_LINES)
+    mappings = _joined(_MAPPINGS)
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(texts)
