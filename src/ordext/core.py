@@ -405,19 +405,13 @@ def restrict(poset: Poset, subset: Iterable[str]) -> Poset:
 
     Restriction of a closed relation is closed, so the result is read off
     the masks of the kept positions without a second verification; one
-    reach pass over them, which changes none, gives its covers.  Rows are
-    remapped in C: a row's binary digits, lowest first, are read at the
-    kept positions in subset order and reversed into an int.
+    reach pass over them, which changes none, gives its covers.
     """
     sub = check_ground(subset)
-    keep = list(map(poset.index, sub))
-    top = 1 << len(poset.ground)  # a leading 1 that gives every row all its digits
-    succ, pred = (
-        [int(bytes(map(bin(masks[i] | top)[:2:-1].encode().__getitem__, keep))[::-1], 2) for i in keep]
-        for masks in (poset.succ, poset.pred)
-    )
-    rows = (compress(range(len(sub)), bin(mask)[:1:-1].encode().translate(_DIGITS)) for mask in succ)
-    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), rows))
+    new = {poset.index(tok): k for k, tok in enumerate(sub)}
+    succ = [sum(1 << new[j] for j in bits(poset.succ[i]) if j in new) for i in new]
+    pred = [sum(1 << new[j] for j in bits(poset.pred[i]) if j in new) for i in new]
+    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), map(bits, succ)))
 
 
 def order_from_enumeration(sequence: Iterable[str]) -> LinearOrder:

@@ -56,8 +56,8 @@ def _mapping(line: str) -> tuple[str, str]:
 
 
 def _numbered(text: str) -> list[tuple[int, str]]:
-    """The meaningful lines with their line numbers, read only to name where a batch check failed."""
-    return [(n, s) for n, s in enumerate(map(str.strip, text.splitlines()), 1) if s and s[0] != "#"]
+    """`_lines(text)` with their line numbers, read only to name where a batch check failed."""
+    return [(n, line) for n, raw in enumerate(text.splitlines(), 1) for line in _lines(raw)]
 
 
 def _walk(lines: list[tuple[int, str]], path: str | None, split: Callable[[str], Iterable[str]]) -> None:
