@@ -299,11 +299,33 @@ def _linear_order(sequence: tuple[str, ...]) -> LinearOrder:
     return order
 
 
-def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[int]) -> list[str]:
+def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], order: list[int],
+                    starts: Iterable[int]) -> list[str]:
     """A shortest cycle x, ..., x of masks that hold one: breadth-first search
-    from each start in turn, neighbours by position, first shortest kept."""
+    from each start in turn, neighbours by position, first shortest kept.
+
+    Only the core is searched: the nodes Kahn's queue left out of `order`,
+    minus the sinks a reverse Kahn pass strips.  Every cycle lies in the
+    core, and so does every node on a path from a core node back to it, so
+    no node left out changes a search's parents or the cycle it returns.
+    `pred` within the nodes left out is the input's: only queued nodes'
+    masks were ORed into it.
+    """
+    queued = set(order)
+    left = [i for i in range(len(nodes)) if i not in queued]
+    core = sum(1 << i for i in left)
+    outdegree = {i: (succ[i] & core).bit_count() for i in left}
+    sinks = [i for i in left if not outdegree[i]]
+    for i in sinks:
+        core ^= 1 << i
+        for j in bits(pred[i] & core):
+            outdegree[j] -= 1
+            if not outdegree[j]:
+                sinks.append(j)
     best: list[int] | None = None
     for start in starts:
+        if not core >> start & 1:
+            continue
         parent = {start: start}
         queue = [start]
         for node in queue:
@@ -315,7 +337,7 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], starts: Iterable[
                 if best is None or len(back) + 2 < len(best):
                     best = [start, *reversed(back), start]
                 break
-            for nxt in bits(succ[node]):
+            for nxt in bits(succ[node] & core):
                 if nxt not in parent:
                     parent[nxt] = node
                     queue.append(nxt)
@@ -337,7 +359,7 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int], cycle: type, 
             if not indegree[j]:
                 order.append(j)
     if len(order) < len(nodes):
-        raise cycle(_shortest_cycle(nodes, succ, starts))
+        raise cycle(_shortest_cycle(nodes, succ, pred, order, starts))
     order.reverse()
     cover = _reach(succ, order, map(rows.__getitem__, order))
     return _closed_poset(nodes, succ, pred, cover)

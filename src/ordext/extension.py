@@ -131,20 +131,20 @@ def linear_extension(
     the candidates are those of removal over every pair.  The candidates
     are a list of negated ranks, ascending, so the least rank is last:
     input order and lexicographic order rank by ground position and by
-    token and take the least rank; seeded picks among the candidates in
-    ground order, since its draws pick by position.  Output is a pure
-    function of (poset, policy).
+    token and take the least rank; seeded draws a position among the
+    candidates in ground order, which counts from the end of the list.
+    Output is a pure function of (poset, policy).
     """
     g, cover, pred = poset.ground, poset._cover, poset.pred
     kind = "input-order" if policy is None else policy.kind
     ranked = sorted(range(len(g)), key=g.__getitem__) if kind == "lexicographic" else range(len(g))
-    pick = policy.start().pick if kind == "seeded" else None
+    first = policy.start()._first if kind == "seeded" else None
     rank = sorted(range(len(ranked)), key=ranked.__getitem__)  # the inverse permutation
     frontier = sorted([-rank[i] for i, mask in enumerate(pred) if not mask])
     out: list[str] = []
     placed = 0
     while frontier:
-        r = frontier.pop() if pick is None else frontier.pop(frontier.index(pick(frontier[::-1])))
+        r = frontier.pop() if first is None else frontier.pop(-1 - first(len(frontier)))
         i = ranked[-r]
         out.append(g[i])
         if cover[i]:  # a position with no covers above it is below nothing, so `placed` skips it
@@ -176,30 +176,36 @@ def szpilrajn(
 def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
     """Token tuples of all linear extensions, lexicographic by ground position.
 
-    The prefix of placed positions is the only stack.  It grows by the
-    first position i that is unplaced with every predecessor placed,
-    `placed & down[i] == pred[i]`; to backtrack, pop the last position k
-    and resume the scan at k + 1.  Each order is found when it is asked
-    for, in O(n) memory and with no depth limit.
+    The prefix of placed positions is the only stack, and the list of
+    their tokens is pushed and popped with it.  It grows by the first
+    position i that is unplaced with every predecessor placed,
+    `placed & down[i] == pred[i]`; every position below the lowest
+    unplaced one is placed and fails that test, so after a push the scan
+    starts at the lowest unplaced position.  To backtrack, pop the last
+    position k and resume the scan at k + 1.  Each order is found when it
+    is asked for, in O(n) memory and with no depth limit.
     """
     g, pred = poset.ground, poset.pred
     n = len(g)
     down = [mask | 1 << i for i, mask in enumerate(pred)]
     prefix: list[int] = []
+    tokens: list[str] = []
     placed = 0
     i = 0
     while True:
         if len(prefix) == n:
-            yield tuple([g[k] for k in prefix])
+            yield tuple(tokens)
             i = n
         while i < n and placed & down[i] != pred[i]:
             i += 1
         if i < n:
             prefix.append(i)
+            tokens.append(g[i])
             placed |= 1 << i
-            i = 0
+            i = (~placed & (placed + 1)).bit_length() - 1
         elif prefix:
             i = prefix.pop()
+            del tokens[-1]
             placed ^= 1 << i
             i += 1
         else:

@@ -21,9 +21,10 @@ standard two-round xor-shift-multiply mix (0xBF58476D1CE4E5B9 then
 ``next() % (i + 1)``, walking i from the last index down to 1.  A choice
 among k candidates spends k - 1 draws.  How the draws are computed is
 not contract: draw t depends on nothing but the state and t (Steele, Lea
-and Flood 2014), so :meth:`_SplitMix64.draws` computes a call's draws
-together in 128-bit lanes of one int, and :meth:`TieBreaker.pick` finds
-the element the shuffle would put first without shuffling.
+and Flood 2014), so :class:`_SplitMix64` computes them ahead, into one
+buffer per run, in blocks of 128-bit lanes of one int, and
+:meth:`TieBreaker._first` finds the position the shuffle would put first
+without shuffling.
 
 One operation run spends one stream, from one :meth:`TieBreakPolicy.start`.
 For the constructions, :func:`_layout` starts it, reading
@@ -49,52 +50,89 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Lanes per block of draws: bounds the lane constants and each block's ints.
 _BLOCK = 1024
 
-# Per lane count (a power of two up to _BLOCK): ONES with 1 in every 128-bit
-# lane, RAMP with t * _GOLDEN in lane t (unreduced, below 2**76), LOW with the
-# low 64 bits of each lane set.  Built on first use, so importing costs nothing.
-_LANES: dict[int, tuple[int, int, int]] = {}
+# Per lane count (a power of two from 16 up to _BLOCK): ONES with 1 in every 128-bit lane, RAMP with
+# t * _GOLDEN in lane t (unreduced, below 2**76), LOW with the low 64 bits of each lane set, and STEP
+# with n * _GOLDEN (reduced) in every lane of n, which moves a block's unmixed lanes on to the next
+# block's.  Built on first use, so importing costs nothing.
+_LANES: dict[int, tuple[int, int, int, int]] = {}
 
-# The low halves of the lanes among the 64-bit words of the lanes' native bytes.
-_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+# The low halves of the lanes, last lane first, among the 64-bit words of the lanes' bytes in each
+# byte order: a little-endian int puts lane t's low word at 2t, a big-endian one lane n-1's at 1.
+_LAST_FIRST = {"little": slice(-2, None, -2), "big": slice(1, None, 2)}
+_LOW_WORDS = _LAST_FIRST[sys.byteorder]
 
 
-def _lanes(n: int) -> tuple[int, int, int]:
+def _lanes(n: int) -> tuple[int, int, int, int]:
     """Build and cache the lane constants for n lanes, in time linear in n."""
     ones = ((1 << 128 * n) - 1) // ((1 << 128) - 1)
     ramp = int.from_bytes(b"".join((t * _GOLDEN).to_bytes(16, "little") for t in range(n)), "little")
-    _LANES[n] = ones, ramp, ones * _MASK64
+    _LANES[n] = ones, ramp, ones * _MASK64, (n * _GOLDEN & _MASK64) * ones
     return _LANES[n]
 
 
 class _SplitMix64:
     """The committed 64-bit mixing generator behind the seeded policy.
 
-    The t-th draw from state s mixes s + t * golden alone, so the draws of
-    one call are independent: :meth:`draws` gives each its own 128-bit
-    lane of one int and runs both mixing rounds on all lanes at once.  A
+    The t-th draw from state s mixes s + t * golden alone, so draws are
+    independent of one another and are computed ahead, in blocks, into one
+    buffer per run: a view of the last block's words, last first, read out
+    as ints only when spent.  A block gives each draw its own 128-bit lane
+    of one int and runs both mixing rounds on all lanes at once.  A
     64x64-bit product fits its lane, and the LOW mask cuts every lane back
-    to 64 bits and clears what a shift carried in from the lane above.
+    to 64 bits and clears what a shift carried in from the lane above.  A
+    block covers what a call is short, in lanes a power of two from 16 up
+    to _BLOCK and at least a quarter of the lanes made so far: a run of
+    many small choices refills rarely, and a run ends with at most that
+    quarter, or one call's rounding, made and never spent.  A block as
+    wide as the last one starts from that block's unmixed lanes plus STEP.
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # the state the next block starts from
+        self._ahead = memoryview(b"").cast("Q")  # draws made and not yet spent, the next one last
+        self._made = 0
+        self._lanes = 0  # the width of the last block, whose unmixed lanes are _unmixed
+        self._unmixed = 0
+
+    def _block(self, short: int) -> memoryview:
+        """The next block's draws, last first, as words, for a run `short` draws short."""
+        lanes = min(_BLOCK, 1 << (max(short, self._made >> 2, 16) - 1).bit_length())
+        ones, ramp, low, step = _LANES.get(lanes) or _lanes(lanes)
+        if lanes == self._lanes:  # one wide add in place of the wide multiply below
+            z = (self._unmixed + step) & low
+        else:
+            z = (((self._state + _GOLDEN) & _MASK64) * ones + ramp) & low
+        self._lanes, self._unmixed = lanes, z
+        self._state = (self._state + lanes * _GOLDEN) & _MASK64
+        self._made += lanes
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        z ^= z >> 31
+        return memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
+
+    def _take(self, m: int) -> list[int]:
+        """The next m draws, last first, spent; only these are read out of the buffer as ints."""
+        ahead = self._ahead
+        taken: list[int] = []
+        cut = len(ahead) - m
+        while cut < 0:  # spend the buffer whole, then refill it with the next block
+            later = ahead.tolist()
+            later += taken
+            taken = later
+            ahead = self._block(-cut)
+            cut += len(ahead)
+        later = ahead[cut:].tolist()
+        later += taken
+        self._ahead = ahead[:cut]
+        return later
 
     def draws(self, m: int) -> list[int]:
-        """The next m values of the stream."""
-        out: list[int] = []
-        state = self._state
-        for done in range(0, m, _BLOCK):
-            k = min(m - done, _BLOCK)
-            lanes = 1 << (k - 1).bit_length()
-            ones, ramp, low = _LANES.get(lanes) or _lanes(lanes)
-            z = (((state + _GOLDEN) & _MASK64) * ones + ramp) & low
-            z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
-            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-            z ^= z >> 31
-            out += memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS][:k].tolist()
-            state = (state + k * _GOLDEN) & _MASK64
-        self._state = state
-        return out
+        """The next m values of the stream, in stream order.
+
+        The library reads draws last first through :meth:`_take`; this
+        view in stream order is kept for the tests that pin the stream.
+        """
+        return self._take(m)[::-1]
 
 
 class TieBreakPolicy(_Record):
@@ -175,32 +213,38 @@ class TieBreaker:
         items = list(items)
         if self.policy.kind == "lexicographic":
             items.sort()
-        elif self.policy.kind == "seeded":
-            k = len(items)
-            for i, j in zip(range(k - 1, 0, -1), map(mod, self._rng.draws(k - 1), range(k, 1, -1))):
+        elif self.policy.kind == "seeded" and (k := len(items)) > 1:
+            # The last-first draws, reversed, are the shuffle's draws in stream order.
+            for i, j in zip(range(k - 1, 0, -1), map(mod, reversed(self._rng._take(k - 1)), range(k, 1, -1))):
                 items[i], items[j] = items[j], items[i]
         return items
 
     def pick(self, items: Sequence[str]) -> str:
         """The element `arrange(items)` would put first, found without arranging.
 
-        Input order takes the first item and lexicographic the least.
-        Seeded spends the same k - 1 draws as the shuffle.  Its swaps run
-        i = k-1 down to 1, so walking them back from i = 1 follows position
-        0 to where its element started: swap i moves the followed position
-        p < i only when it draws p, and then p becomes i.
+        Input order takes the first item, lexicographic the least, and
+        seeded the item at :meth:`_first`.
         """
         if self.policy.kind == "lexicographic":
             return min(items)
+        return items[self._first(len(items)) if self.policy.kind == "seeded" else 0]
+
+    def _first(self, k: int) -> int:
+        """The position the seeded shuffle of k candidates puts first, found by
+        spending its k - 1 draws without shuffling.
+
+        Its swaps run i = k-1 down to 1, so walking them back from i = 1
+        follows position 0 to where its element started: swap i moves the
+        followed position p < i only when it draws p, and then p becomes i.
+        """
         p = 0
-        if self.policy.kind == "seeded" and len(items) > 1:
-            k = len(items)
-            # swaps[i - 1] is the position swap i draws; the last slot, kept equal
-            # to p, stops the search at i = k when no later swap draws p.
-            swaps = [*map(mod, reversed(self._rng.draws(k - 1)), range(2, k + 1)), p]
+        if k > 1:
+            # swaps[i - 1] is the position swap i draws, read off the last-first draws; the last
+            # slot, kept equal to p, stops the search at i = k when no later swap draws p.
+            swaps = [*map(mod, self._rng._take(k - 1), range(2, k + 1)), p]
             while (i := swaps.index(p, p) + 1) < k:
                 p = swaps[-1] = i
-        return items[p]
+        return p
 
 
 def _layout(policy: TieBreakPolicy | None, segments) -> tuple[str, ...]:

@@ -179,6 +179,21 @@ def _cli_cases(rng: random.Random) -> dict[str, tuple]:
     # 1700! has 4,756 digits, and each option is given 5,000.
     wide = {"anti1700.rel": "".join(f"a{i}\n" for i in range(1700)).encode() + b"---\n"}
     cases["cli/anti1700.rel/count-cap-2000"] = (["count", "anti1700.rel", "--cap", "2000"], wide, {})
+    # Seeded runs whose draws cross many refills of the draw buffer, and a walk over a
+    # ground that lists tops first (two chains of four).
+    seeded = "seed:16045690984833335023"
+    cases["cli/anti1700.rel/linearize-seed"] = (["linearize", "anti1700.rel", "--tie-break", seeded], wide, {})
+    cases["cli/anti1700.rel/szpilrajn-force-seed"] = (
+        ["szpilrajn", "anti1700.rel", "--force", "a1699", "a3", "--tie-break", seeded], wide, {})
+    ground = [f"g{i}" for i in range(3000)]
+    a = set(ground[7::4])
+    split = {"bip-ground.seq": ground, "bip-a.seq": ground[7::4], "bip-b.seq": [t for t in ground[-3::-5] if t not in a]}
+    split = {name: "".join(f"{tok}\n" for tok in seq).encode() for name, seq in split.items()}
+    cases["cli/bipartition-3000/seed"] = (["bipartition", *split, "--tie-break", seeded], split, {})
+    tops = "".join(f"c{i}_{j}\n" for i in (1, 0) for j in (3, 2, 1, 0)) + "---\n"
+    tops += "".join(f"c{i}_{j} < c{i}_{j + 1}\n" for i in (0, 1) for j in range(3))
+    cases["cli/tops8.rel/enumerate-limit"] = (
+        ["enumerate", "tops8.rel", "--limit", "50"], {"tops8.rel": tops.encode()}, {})
     huge = "9" * 5000
     cases["cli/good0.rel/enumerate-limit-5000-digits"] = (["enumerate", "good0.rel", "--limit", huge], good, {})
     cases["cli/good0.rel/count-cap-5000-digits"] = (["count", "good0.rel", "--cap", huge], good, {})

@@ -41,6 +41,34 @@ def random_poset(rng: random.Random, n: int, density: float | None = None) -> Po
     return validate(*random_pairs(rng, n, density), auto_close=True)
 
 
+def scale_input(rng: random.Random, family: str, n: int):
+    """A seeded input of `family` on n elements: its shuffled ground, its pairs in random order
+    with two-step (redundant) and repeated ones mixed in, and the covers it is built from."""
+    hidden = [f"v{k}" for k in rng.sample(range(10**6), n)]  # the order the pairs follow
+    if family == "chain":
+        covers = list(zip(hidden, hidden[1:]))
+    elif family == "broom":  # a 20-element handle with every other element above its top
+        covers = [*zip(hidden[:19], hidden[1:20]), *((hidden[19], leaf) for leaf in hidden[20:])]
+    elif family == "layers":  # 4 layers, each element above 1-3 of the layer below
+        layers = [hidden[k * n // 4 : (k + 1) * n // 4] for k in range(4)]
+        covers = list(dict.fromkeys(
+            (rng.choice(low), v) for low, high in zip(layers, layers[1:]) for v in high for _ in range(rng.randint(1, 3))
+        ))
+    elif family == "chains":  # disjoint chains of 30
+        covers = [pair for k in range(0, n, 30) for pair in zip(hidden[k : k + 29], hidden[k + 1 : k + 30])]
+    else:
+        covers = []
+    above = {}
+    for a, b in covers:
+        above.setdefault(a, []).append(b)
+    two_step = [(a, c) for a, b in rng.sample(covers, len(covers) // 4) for c in above.get(b, [])[:1]]
+    pairs = covers + two_step + rng.sample(covers, len(covers) // 10)
+    rng.shuffle(pairs)
+    ground = hidden.copy()
+    rng.shuffle(ground)
+    return ground, pairs, set(covers)
+
+
 def assert_matches_verified(poset: Poset) -> None:
     """`poset` equals, hashes like, and holds the same masks, covers, pairs and
     repr as `Poset(ground, relation)`, which rebuilds the masks from the pairs

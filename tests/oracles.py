@@ -10,14 +10,17 @@ checks, incomparable pairs and order-axiom witnesses by scanning pairs
 and triples of the pair set instead of bitmasks, the seeded generator
 one draw at a time instead of in lanes, linearization by shuffling
 each candidate list in full instead of following one position through
-the swaps, the relation and partition readers by checking every
+the swaps (by counting unplaced predecessors, and by rescanning the
+ground each step, which anchors the first), the relation and partition readers by checking every
 token occurrence, collecting the ground in a second pass and cutting
 partition blocks in their own `---` loop instead of one shared section
 reader, and the ground check, the sequence and bijection readers and
 the `Partition` and `Bijection` constructors by checking one token at a
 time instead of one batch, the shortest-cycle witness of an acyclic
 relation plus one back edge by distances from the edge's two ends and
-a greedy walk instead of a breadth-first search from each start, and
+a greedy walk instead of a breadth-first search from each start, the
+shortest cycle of any digraph by searching every node instead of its
+cyclic core alone, and
 the eight record classes by frozen dataclasses instead of one
 hand-written base.  Agreement between the
 routes is what the property tests assert.
@@ -25,6 +28,7 @@ routes is what the property tests assert.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import field, make_dataclass
 from itertools import chain, islice, permutations
 
@@ -71,9 +75,39 @@ def reference_shuffle(items, stream):
 
 
 def linearize_by_kahn(poset: Poset, policy: TieBreakPolicy) -> tuple[str, ...]:
-    """Source removal over the pair set: each step lists the unplaced elements
-    with no unplaced predecessor in ground order and takes the first of the
-    policy's full arrangement of them."""
+    """Source removal over the pair set: an element is ready once every element
+    paired below it is placed; each step lists the ready elements in ground order
+    and takes the first of the policy's full arrangement of them (for the
+    lexicographic kind the least token, which the full sort puts first)."""
+    draws = reference_draws(policy.seed) if policy.kind == "seeded" else None
+    position = {tok: i for i, tok in enumerate(poset.ground)}
+    waiting = dict.fromkeys(poset.ground, 0)
+    above: dict[str, list[str]] = {tok: [] for tok in poset.ground}
+    for x, y in poset.relation:
+        waiting[y] += 1
+        above[x].append(y)
+    ready = [tok for tok in poset.ground if not waiting[tok]]
+    out: list[str] = []
+    while ready:
+        if policy.kind == "lexicographic":
+            tok = min(ready)
+        elif policy.kind == "seeded":
+            tok = reference_shuffle(ready, draws)[0]
+        else:
+            tok = ready[0]
+        ready.remove(tok)
+        out.append(tok)
+        for y in above[tok]:
+            waiting[y] -= 1
+            if not waiting[y]:
+                insort(ready, y, key=position.__getitem__)
+    return tuple(out)
+
+
+def linearize_by_scan(poset: Poset, policy: TieBreakPolicy) -> tuple[str, ...]:
+    """Source removal as plainly as it reads: each step rescans the whole ground for
+    the unplaced elements with no unplaced predecessor and takes the first of the
+    policy's full arrangement of them.  Quadratic; it anchors `linearize_by_kahn`."""
     draws = reference_draws(policy.seed) if policy.kind == "seeded" else None
     preds = {tok: set() for tok in poset.ground}
     for x, y in poset.relation:
@@ -89,6 +123,29 @@ def linearize_by_kahn(poset: Poset, policy: TieBreakPolicy) -> tuple[str, ...]:
         out.append(ready[0])
         placed.add(ready[0])
     return tuple(out)
+
+
+def shortest_cycle_by_search(nodes, succ, starts) -> list[str]:
+    """A shortest cycle x, ..., x of the masks `succ`: a breadth-first search over
+    every node from each start in turn, neighbours by position, first shortest kept."""
+    best = None
+    for start in starts:
+        parent = {start: start}
+        queue = [start]
+        for node in queue:
+            if succ[node] >> start & 1:
+                back = []
+                while node != start:
+                    back.append(node)
+                    node = parent[node]
+                if best is None or len(back) + 2 < len(best):
+                    best = [start, *reversed(back), start]
+                break
+            for nxt in range(len(nodes)):
+                if succ[node] >> nxt & 1 and nxt not in parent:
+                    parent[nxt] = node
+                    queue.append(nxt)
+    return [nodes[i] for i in best]
 
 
 def closure_fixpoint(pairs) -> set[tuple[str, str]]:

@@ -35,9 +35,9 @@ from ordext import (
     validate,
 )
 from ordext.cli import main
-from ordext.core import _valid_tokens, bits
+from ordext.core import _close, _valid_tokens, bits
 
-from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset
+from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset, scale_input
 from oracles import (
     back_edge_cycle,
     check_ground_reference,
@@ -45,6 +45,7 @@ from oracles import (
     first_two_cycle,
     first_unclosed_triple,
     incomparable_by_double_loop,
+    shortest_cycle_by_search,
     strict_order_axioms_hold,
     transitive_reduction,
 )
@@ -345,6 +346,32 @@ class TestClosure:
                 transitive_closure(pairs, node_order=node_order)
             assert info.value.cycle == cycle
 
+    def test_a_self_loop_beats_an_earlier_two_cycle(self):
+        with pytest.raises(ClosureCreatesReflexivePair) as info:
+            transitive_closure([("a", "b"), ("b", "a"), ("c", "c")])
+        assert info.value.cycle == ("c", "c")
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(1, 30), st.floats(0, 0.3), st.integers(0, 2**32))
+    def test_cycle_witness_matches_a_search_of_every_node(self, n, density, seed):
+        # Random digraphs with self-loops among the edges and at least one cycle; the starts
+        # are the nodes shuffled, some repeated, as `node_order` may give them.
+        rng = random.Random(seed)
+        nodes = [f"v{i}" for i in range(n)]
+        succ, pred = [0] * n, [0] * n
+        edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+        loop = rng.sample(range(n), rng.randint(1, n))
+        edges += zip(loop, loop[1:] + loop[:1])
+        for i, j in edges:
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        starts = rng.sample(range(n), n) + rng.choices(range(n), k=rng.randrange(3))
+        rng.shuffle(starts)
+        want = shortest_cycle_by_search(nodes, succ, starts)
+        with pytest.raises(ClosureCreatesReflexivePair) as info:
+            _close(nodes, succ.copy(), pred.copy(), ClosureCreatesReflexivePair, starts)
+        assert list(info.value.cycle) == want
+
 
 class TestRestrict:
     def test_diamond_to_chain(self):
@@ -547,34 +574,6 @@ class TestAgainstOraclesAtSize:
         assert raised > 20
 
 
-def scale_input(rng: random.Random, family: str, n: int):
-    """A seeded input of `family` on n elements: its shuffled ground, its pairs in random order
-    with two-step (redundant) and repeated ones mixed in, and the covers it is built from."""
-    hidden = [f"v{k}" for k in rng.sample(range(10**6), n)]  # the order the pairs follow
-    if family == "chain":
-        covers = list(zip(hidden, hidden[1:]))
-    elif family == "broom":  # a 20-element handle with every other element above its top
-        covers = [*zip(hidden[:19], hidden[1:20]), *((hidden[19], leaf) for leaf in hidden[20:])]
-    elif family == "layers":  # 4 layers, each element above 1-3 of the layer below
-        layers = [hidden[k * n // 4 : (k + 1) * n // 4] for k in range(4)]
-        covers = list(dict.fromkeys(
-            (rng.choice(low), v) for low, high in zip(layers, layers[1:]) for v in high for _ in range(rng.randint(1, 3))
-        ))
-    elif family == "chains":  # disjoint chains of 30
-        covers = [pair for k in range(0, n, 30) for pair in zip(hidden[k : k + 29], hidden[k + 1 : k + 30])]
-    else:
-        covers = []
-    above = {}
-    for a, b in covers:
-        above.setdefault(a, []).append(b)
-    two_step = [(a, c) for a, b in rng.sample(covers, len(covers) // 4) for c in above.get(b, [])[:1]]
-    pairs = covers + two_step + rng.sample(covers, len(covers) // 10)
-    rng.shuffle(pairs)
-    ground = hidden.copy()
-    rng.shuffle(ground)
-    return ground, pairs, set(covers)
-
-
 class TestScaleTier:
     """Closing at 500-3,000 elements, where the suite's other closing tests never go, against
     the verifying constructor, the covers each input is built from, the transitive-reduction
@@ -601,6 +600,18 @@ class TestScaleTier:
             transitive_closure([*pairs, (y, x)], node_order=ground)
         with pytest.raises(AntisymmetryViolation) as validating:
             validate(ground, [*pairs, (y, x)], auto_close=True)
+        assert closing.value.cycle == validating.value.cycle == cycle
+
+    def test_back_edge_on_a_long_chain(self):
+        # Only the witness: the verifying constructor of the chain alone would build 4.5M pairs.
+        ground = [f"v{k}" for k in random.Random(6).sample(range(10**6), 3000)]
+        pairs = list(zip(ground, ground[1:]))
+        back = (ground[1501], ground[1500])  # a 2-cycle in the middle
+        cycle = back_edge_cycle(ground, pairs, back)
+        with pytest.raises(ClosureCreatesReflexivePair) as closing:
+            transitive_closure([*pairs, back], node_order=ground)
+        with pytest.raises(AntisymmetryViolation) as validating:
+            validate(ground, [*pairs, back], auto_close=True)
         assert closing.value.cycle == validating.value.cycle == cycle
 
 

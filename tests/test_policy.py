@@ -3,13 +3,15 @@
 import random
 import subprocess
 import sys
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordext import TieBreakPolicy
-from ordext.policy import _BLOCK, _SplitMix64, _layout
+from ordext.policy import _BLOCK, _LAST_FIRST, _SplitMix64, _layout
 
-from oracles import reference_shuffle, reference_stream
+from oracles import reference_draws, reference_shuffle, reference_stream
 
 
 class TestParsing:
@@ -94,6 +96,20 @@ class TestGenerator:
                 else:
                     got += gen.draws(rng.choice([0, 1, 2, 3, 17, _BLOCK + 1]))
             assert got == reference_stream(seed, len(got))
+
+    @pytest.mark.parametrize("lanes", [1, 2, 16, 1024])
+    def test_last_first_low_words_in_both_byte_orders(self, lanes):
+        # Each byte order's slice, on the 64-bit words a machine of that order reads from
+        # the int's bytes: the other order's words are the native ones byte-swapped.
+        rng = random.Random(lanes)
+        lane = [rng.getrandbits(128) for _ in range(lanes)]
+        z = sum(value << 128 * t for t, value in enumerate(lane))
+        want = [value & (1 << 64) - 1 for value in reversed(lane)]
+        for order, words in _LAST_FIRST.items():
+            seen = array("Q", z.to_bytes(16 * lanes, order))
+            if order != sys.byteorder:
+                seen.byteswap()
+            assert seen[words].tolist() == want
 
     def test_import_builds_no_lane_constants(self):
         # The lane constants are built on the first seeded draw, not at start-up.
@@ -182,6 +198,29 @@ class TestPick:
         before = list(items)
         policy.start().pick(items)
         assert items == before
+
+
+class TestOneStream:
+    """Draws, picks and arrangements on one breaker spend one stream in call order,
+    at sizes that cross the refill sizes and _BLOCK, however the calls are mixed."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.lists(st.tuples(st.sampled_from(["draws", "pick", "arrange"]),
+                           st.one_of(st.integers(0, 40), st.integers(0, 3000))), max_size=8),
+    )
+    def test_calls_follow_the_reference(self, seed, calls):
+        breaker = TieBreakPolicy.seeded(seed).start()
+        stream = reference_draws(seed)
+        for call, size in calls:
+            if call == "draws":
+                assert breaker._rng.draws(size) == [next(stream) for _ in range(size)]
+                continue
+            items = [f"t{i}" for i in range(max(size, 1))]
+            want = reference_shuffle(items, stream)
+            got = breaker.pick(items) if call == "pick" else breaker.arrange(items)
+            assert got == (want[0] if call == "pick" else want)
 
 
 class TestLayout:
