@@ -8,17 +8,20 @@ files, bad usage, output that cannot be written (`error: cannot write
 output: ...`, say on a full disk) and running out of memory (`error: out
 of memory`).  A reader that closes the pipe early ends the run quietly
 with status 1; one path in `main` ends every failed write.  Numbers,
-read or written, have no digit limit, `--tie-break seed:` included.
+read or written, have no digit limit, `--tie-break seed:` included, and
+are read without touching interpreter state (`errors._integer`).
 Output is a pure function of the inputs: identical files, flags, and
 seeds produce byte-identical bytes on every run.
 
 A run builds the parser of its command alone, and imports the modules
 that command uses; `--help`, usage errors and an unknown command build
 the parser of every command.  Each handler returns its stdout as an
-iterable of strings (a generator for enumerated orders and incomparable
-pairs, so they are written as they are made); `main` alone writes it,
-flushes it and returns 0.  One handler serves `linearize` and
-`szpilrajn`: a linear extension is a Szpilrajn extension with no forced pair.
+iterable of strings (a generator for enumerated orders, incomparable
+pairs and relation text, so they are written as they are made, and a
+poset's masks, 2n² bits, are the only memory quadratic in its n
+elements); `main` alone writes it, flushes it and returns 0.  One
+handler serves `linearize` and `szpilrajn`: a linear extension is a
+Szpilrajn extension with no forced pair.
 
 The `validate` command checks a relation file exactly as given (opt-in
 closure via --auto-close).  The operating commands (linearize,
@@ -31,7 +34,7 @@ import argparse
 import os
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     DEFAULT_COUNT_CAP,
@@ -45,9 +48,9 @@ from .core import (
     restrict,
     validate,
 )
-from .errors import OrderError, ParseError, _decimal
+from .errors import OrderError, ParseError, _decimal, _integer
 from .formats import (
-    format_relation,
+    _relation_text,
     parse_bijection,
     parse_partition,
     parse_relation,
@@ -77,27 +80,14 @@ def _policy_arg(text: str) -> "TieBreakPolicy":
     from .policy import TieBreakPolicy
 
     try:
-        return _unguarded(TieBreakPolicy.parse, text)
+        return TieBreakPolicy.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _unguarded(convert: Callable, value: object) -> object:
-    """`convert(value)` free of the interpreter's cap on the digits of an int
-    read (`sys.set_int_max_str_digits`, where it exists), which is restored afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return convert(value)
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(cap)
-
-
 def _nonnegative_arg(text: str) -> int:
     try:
-        value = _unguarded(int, text)
+        value = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
@@ -116,14 +106,14 @@ def cmd_validate(args: argparse.Namespace) -> Iterable[str]:
     if args.subset is not None:
         subset = parse_sequence(_read(args.subset), args.subset)
         poset = restrict(poset, subset)
-    return [format_relation(poset)]
+    return _relation_text(poset)
 
 
 def cmd_closure(args: argparse.Namespace) -> Iterable[str]:
     ground, pairs = parse_relation(_read(args.relation), args.relation)
     closed = _closure(pairs, ground)
     check_ground(ground)  # after closing, so a cycle is reported before a repeated header element
-    return [format_relation(closed)]
+    return _relation_text(closed)
 
 
 def cmd_szpilrajn(args: argparse.Namespace) -> Iterable[str]:
@@ -143,7 +133,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Iterable[str]:
     if limit is None:
         raw = os.environ.get(ENV_ENUM_LIMIT, str(DEFAULT_ENUM_LIMIT))
         try:
-            limit = _unguarded(int, raw)
+            limit = _integer(raw)
         except ValueError:
             raise ParseError(f"{ENV_ENUM_LIMIT} is not an integer: {raw!r}") from None
         if limit < 0:

@@ -6,11 +6,28 @@ diagnostic instead of a bare failure.  The base class `OrderError` keeps
 the witness: each subclass builds its message and hands the witness to
 it as keywords, which become the error's attributes.  `ParseError` is
 kept outside the domain hierarchy: the CLI maps domain errors to exit
-code 1 and parse or usage problems to exit code 2.  Numbers in messages
-and reprs are written by `_decimal` at any length.
+code 1 and parse or usage problems to exit code 2.  Numbers of any length
+are read by `_integer` and written by `_decimal`, neither touching the
+interpreter's cap on the digits of an int (`sys.set_int_max_str_digits`).
 """
 
 _SHORT = 10**640  # below it, `str` is within the least digit cap the interpreter accepts
+
+
+def _integer(text: str) -> int:
+    """`int(text)` at any length: a text of 640 digits or more that `int` refuses is cut before
+    its middle digit, a `_` there dropped.  Both halves are numbers exactly when the whole is one
+    with no cap, so they are read, in halves again if need be, and combined."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = [i for i, c in enumerate(text) if c.isdecimal()]
+        cut = digits[len(digits) // 2] if len(digits) >= 640 else 0
+        high, low = text[:cut].removesuffix("_"), text[cut:]
+        if not high[-1:].isdecimal():  # under 640 digits, or a cut not between two digits
+            raise
+        n = abs(_integer(high)) * 10 ** (len(digits) - len(digits) // 2) + _integer(low)
+        return -n if "-" in high else n
 
 
 def _decimal(n: int) -> str:

@@ -20,7 +20,7 @@ token or malformed line, a line's structure before its tokens.
 """
 
 from itertools import chain, compress, count, repeat
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import Pair, Poset, _valid_tokens, bits, check_token
 from .errors import InvalidToken, ParseError
@@ -134,18 +134,23 @@ def parse_bijection(text: str, path: str | None = None) -> "Bijection":
     return Bijection(tuple(zip(ys, xs)))
 
 
+def _relation_text(poset: Poset) -> Iterator[str]:
+    """`format_relation(poset)` in pieces: the header, each nonempty row of the successor masks
+    (one join, its lines' common head `x < ` as the separator), and the final line break."""
+    g = poset.ground
+    yield "\n".join([*g, "---"])
+    for x, mask in zip(g, poset.succ):
+        if mask:
+            head = f"\n{x} < "
+            yield head + head.join([g[j] for j in bits(mask)])
+    yield "\n"
+
+
 def format_relation(poset: Poset) -> str:
     """Canonical relation text: full ground header, separator, sorted pairs.
 
     Pairs are ordered by ground position of both endpoints, so equal
     posets serialize to identical bytes.  Output re-parses to the same
-    ground and relation.  Each nonempty row of the successor masks is
-    written by one join, its lines' common head `x < ` as the separator.
+    ground and relation.
     """
-    g = poset.ground
-    rows = []
-    for x, mask in zip(g, poset.succ):
-        if mask:
-            head = f"\n{x} < "
-            rows.append(head + head.join([g[j] for j in bits(mask)]))
-    return "\n".join([*g, "---"]) + "".join(rows) + "\n"
+    return "".join(_relation_text(poset))

@@ -21,10 +21,10 @@ standard two-round xor-shift-multiply mix (0xBF58476D1CE4E5B9 then
 ``next() % (i + 1)``, walking i from the last index down to 1.  A choice
 among k candidates spends k - 1 draws.  How the draws are computed is
 not contract: draw t depends on nothing but the state and t (Steele, Lea
-and Flood 2014), so :class:`_SplitMix64` computes them ahead, into one
-buffer per run, in blocks of 128-bit lanes of one int, and
-:meth:`TieBreaker._first` finds the position the shuffle would put first
-without shuffling.
+and Flood 2014), so :class:`_SplitMix64` computes them ahead, in blocks of
+128-bit lanes of one int, into one buffer per run kept in stream order,
+which :meth:`_SplitMix64.draws` alone reads; :meth:`TieBreaker._first`
+finds the position the shuffle would put first without shuffling.
 
 One operation run spends one stream, from one :meth:`TieBreakPolicy.start`.
 For the constructions, :func:`_layout` starts it, reading
@@ -40,6 +40,7 @@ from operator import mod
 from typing import Sequence
 
 from .core import _Record
+from .errors import _integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,10 +57,10 @@ _BLOCK = 1024
 # block's.  Built on first use, so importing costs nothing.
 _LANES: dict[int, tuple[int, int, int, int]] = {}
 
-# The low halves of the lanes, last lane first, among the 64-bit words of the lanes' bytes in each
-# byte order: a little-endian int puts lane t's low word at 2t, a big-endian one lane n-1's at 1.
-_LAST_FIRST = {"little": slice(-2, None, -2), "big": slice(1, None, 2)}
-_LOW_WORDS = _LAST_FIRST[sys.byteorder]
+# The low halves of the lanes, lane 0 first, among the 64-bit words of the lanes' bytes in each
+# byte order: a little-endian int puts lane t's low word at 2t, a big-endian one lane 0's last.
+_IN_ORDER = {"little": slice(None, None, 2), "big": slice(None, None, -2)}
+_LOW_WORDS = _IN_ORDER[sys.byteorder]
 
 
 def _lanes(n: int) -> tuple[int, int, int, int]:
@@ -75,8 +76,8 @@ class _SplitMix64:
 
     The t-th draw from state s mixes s + t * golden alone, so draws are
     independent of one another and are computed ahead, in blocks, into one
-    buffer per run: a view of the last block's words, last first, read out
-    as ints only when spent.  A block gives each draw its own 128-bit lane
+    buffer per run: a view of the last block's words in stream order, read
+    out as ints only when spent.  A block gives each draw its own 128-bit lane
     of one int and runs both mixing rounds on all lanes at once.  A
     64x64-bit product fits its lane, and the LOW mask cuts every lane back
     to 64 bits and clears what a shift carried in from the lane above.  A
@@ -89,13 +90,13 @@ class _SplitMix64:
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64  # the state the next block starts from
-        self._ahead = memoryview(b"").cast("Q")  # draws made and not yet spent, the next one last
+        self._ahead = memoryview(b"").cast("Q")  # draws made and not yet spent, the next one first
         self._made = 0
         self._lanes = 0  # the width of the last block, whose unmixed lanes are _unmixed
         self._unmixed = 0
 
     def _block(self, short: int) -> memoryview:
-        """The next block's draws, last first, as words, for a run `short` draws short."""
+        """The next block's draws, in stream order, as words, for a run `short` draws short."""
         lanes = min(_BLOCK, 1 << (max(short, self._made >> 2, 16) - 1).bit_length())
         ones, ramp, low, step = _LANES.get(lanes) or _lanes(lanes)
         if lanes == self._lanes:  # one wide add in place of the wide multiply below
@@ -110,29 +111,14 @@ class _SplitMix64:
         z ^= z >> 31
         return memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[_LOW_WORDS]
 
-    def _take(self, m: int) -> list[int]:
-        """The next m draws, last first, spent; only these are read out of the buffer as ints."""
-        ahead = self._ahead
-        taken: list[int] = []
-        cut = len(ahead) - m
-        while cut < 0:  # spend the buffer whole, then refill it with the next block
-            later = ahead.tolist()
-            later += taken
-            taken = later
-            ahead = self._block(-cut)
-            cut += len(ahead)
-        later = ahead[cut:].tolist()
-        later += taken
-        self._ahead = ahead[:cut]
-        return later
-
     def draws(self, m: int) -> list[int]:
-        """The next m values of the stream, in stream order.
-
-        The library reads draws last first through :meth:`_take`; this
-        view in stream order is kept for the tests that pin the stream.
-        """
-        return self._take(m)[::-1]
+        """The next m values of the stream, in stream order, spent; only these become ints."""
+        taken, self._ahead = self._ahead[:m].tolist(), self._ahead[m:]
+        while (short := m - len(taken)) > 0:  # the buffer is spent: refill it with the next block
+            block = self._block(short)
+            taken += block[:short].tolist()
+            self._ahead = block[short:]
+        return taken
 
 
 class TieBreakPolicy(_Record):
@@ -182,7 +168,7 @@ class TieBreakPolicy(_Record):
         if text.startswith("seed:"):
             raw = text[len("seed:"):]
             try:
-                seed = int(raw, 10)
+                seed = _integer(raw)
             except ValueError:
                 raise ValueError(f"seed is not an integer: {raw!r}") from None
             if not 0 <= seed < 1 << 64:
@@ -214,8 +200,7 @@ class TieBreaker:
         if self.policy.kind == "lexicographic":
             items.sort()
         elif self.policy.kind == "seeded" and (k := len(items)) > 1:
-            # The last-first draws, reversed, are the shuffle's draws in stream order.
-            for i, j in zip(range(k - 1, 0, -1), map(mod, reversed(self._rng._take(k - 1)), range(k, 1, -1))):
+            for i, j in zip(range(k - 1, 0, -1), map(mod, self._rng.draws(k - 1), range(k, 1, -1))):
                 items[i], items[j] = items[j], items[i]
         return items
 
@@ -239,9 +224,11 @@ class TieBreaker:
         """
         p = 0
         if k > 1:
-            # swaps[i - 1] is the position swap i draws, read off the last-first draws; the last
-            # slot, kept equal to p, stops the search at i = k when no later swap draws p.
-            swaps = [*map(mod, self._rng._take(k - 1), range(2, k + 1)), p]
+            # swaps[i - 1] is the position swap i draws (the draws run from i = k - 1 down, and a
+            # reverse in place costs less than reading them through `reversed`); the last slot, kept
+            # equal to p, stops the search at i = k when no later swap draws p.
+            swaps = [p, *map(mod, self._rng.draws(k - 1), range(k, 1, -1))]
+            swaps.reverse()
             while (i := swaps.index(p, p) + 1) < k:
                 p = swaps[-1] = i
         return p

@@ -202,6 +202,23 @@ def _cli_cases(rng: random.Random) -> dict[str, tuple]:
     for name, seed in (("zero-padded-5001-digits", "0" * 5000 + "7"), ("5000-digits", huge)):
         argv = ["linearize", "good0.rel", "--tie-break", f"seed:{seed}"]
         cases[f"cli/good0.rel/linearize-seed-{name}"] = (argv, good, {})
+    padded = "seed:" + "0" * 5000 + "7"
+    anti = {"anti12.rel": "".join(f"a{i}\n" for i in range(12)).encode() + b"---\n"}
+    cases["cli/anti12.rel/linearize-seed-zero-padded-5001-digits"] = (
+        ["linearize", "anti12.rel", "--tie-break", padded], anti, {})
+    cases["cli/anti12.rel/szpilrajn-force-seed-zero-padded-5001-digits"] = (
+        ["szpilrajn", "anti12.rel", "--force", "a9", "a2", "--tie-break", padded], anti, {})
+    cases["cli/bipartition-3000/seed-zero-padded-5001-digits"] = (
+        ["bipartition", *split, "--tie-break", padded], split, {})
+    tops8 = {"tops8.rel": tops.encode()}
+    cases["cli/tops8.rel/enumerate-limit-5000-digits"] = (["enumerate", "tops8.rel", "--limit", huge], tops8, {})
+    cases["cli/tops8.rel/count-cap-5000-digits"] = (["count", "tops8.rel", "--cap", huge], tops8, {})
+    # Three segments of a 1,100-element ground whose draws cross several refills of the draw buffer.
+    ground = [f"h{i}" for i in range(1100)]
+    a = set(ground[2::3])
+    split = {"bip-ground.seq": ground, "bip-a.seq": ground[2::3], "bip-b.seq": [t for t in ground[::-7] if t not in a]}
+    split = {name: "".join(f"{tok}\n" for tok in seq).encode() for name, seq in split.items()}
+    cases["cli/bipartition-1100/seed"] = (["bipartition", *split, "--tie-break", "seed:9"], split, {})
     return cases
 
 
@@ -521,6 +538,9 @@ def _library_call_cases(rng: random.Random) -> dict[str, tuple]:
         phi = tuple(phi)
         cases[f"lib/dense_interleave/{i}"] = ("dense_interleave", (tuple(ys), tuple(xs), phi, rng.choice(policies)))
         cases[f"lib/Bijection/{i}"] = ("Bijection", (phi,))
+    # `TieBreakPolicy.parse` reads a seed of 5,001 digits as the CLI does: 5,000 zeros then 7 is seed 7.
+    spec = ("validate", tuple(f"a{i}" for i in range(12)), [("a3", "a8"), ("a8", "a1")], None)
+    cases["lib/linear_extension/seed-zero-padded-5001-digits"] = ("linear_extension", (spec, "seed:" + "0" * 5000 + "7"))
     return cases
 
 

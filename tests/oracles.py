@@ -158,6 +158,24 @@ def closure_fixpoint(pairs) -> set[tuple[str, str]]:
         rel |= new
 
 
+def closure_text(ground, pairs) -> str:
+    """The canonical relation text of the closure of `pairs`, by a depth-first search from every
+    element: the ground, `---`, then `x < y` for each x and each y it reaches, both in ground order."""
+    position = {v: k for k, v in enumerate(ground)}
+    succ = {v: set() for v in ground}
+    for a, b in pairs:
+        succ[a].add(b)
+    lines = [*ground, "---"]
+    for x in ground:
+        reached, stack = set(), [x]
+        while stack:
+            for w in succ[stack.pop()] - reached:
+                reached.add(w)
+                stack.append(w)
+        lines += [f"{x} < {y}" for y in sorted(reached, key=position.__getitem__)]
+    return "\n".join(lines) + "\n"
+
+
 def back_edge_cycle(nodes, pairs, back) -> tuple[str, ...]:
     """The shortest cycle a closure names when the back edge (y, x), x below y, joins the acyclic
     `pairs` over `nodes`, breadth-first searches starting at each node in turn.  Every cycle runs

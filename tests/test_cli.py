@@ -351,10 +351,11 @@ class TestCount:
         assert out == "1\n"
 
 
+@pytest.mark.usefixtures("digit_cap_untouched")
 class TestNumbersPastTheDigitGuard:
-    """Counts and numeric options of any length: the interpreter's default cap of 4,300 digits
-    on int/str conversion, where it exists, is lifted while a number is read, then restored, and
-    left as it is while a count is written."""
+    """Counts and numeric options of any length, past the interpreter's default cap of 4,300
+    digits on int/str conversion, where it exists: a number too long for the cap is read and
+    written in halves, and the cap is never changed."""
 
     HUGE = "9" * 5000
 
@@ -365,12 +366,6 @@ class TestNumbersPastTheDigitGuard:
             n, low = divmod(n, 10**1000)
             chunks.append(f"{low:01000d}")
         return "".join(reversed(chunks)).lstrip("0") or "0"
-
-    @pytest.fixture(autouse=True)
-    def guard_restored(self):
-        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        yield
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_count_with_4756_digits(self, run):
         text = "".join(f"a{i}\n" for i in range(1700)) + "---\n"
@@ -643,7 +638,8 @@ class TestWriteFailure:
 
 class TestStreamedOutput:
     """Output is written as it is made: when the first write finds the reader gone, the
-    enumeration walk and the incomparable pairs have been drawn no further than that."""
+    enumeration walk, the incomparable pairs and the pieces of relation text have been drawn
+    no further than that."""
 
     @pytest.fixture
     def closed_stdout(self, tmp_path):
@@ -665,6 +661,17 @@ class TestStreamedOutput:
         target.write_text("a\nb\nc\nd\ne\n---\n", encoding="utf-8")  # 120 orders
         with contextlib.redirect_stdout(closed_stdout):
             assert main(["enumerate", str(target)]) == 1
+        assert 1 <= len(drawn) <= 2
+
+    @pytest.mark.parametrize("argv", [["closure"], ["validate", "--auto-close"]])
+    def test_relation_text(self, tmp_path, monkeypatch, closed_stdout, argv):
+        drawn = []
+        pieces = cli._relation_text
+        monkeypatch.setattr(cli, "_relation_text", lambda poset: self.counted(pieces(poset), drawn))
+        target = tmp_path / "r.txt"
+        target.write_text("a < b\nb < c\nc < d\nd < e\n", encoding="utf-8")  # 6 pieces: header, 4 rows, end
+        with contextlib.redirect_stdout(closed_stdout):
+            assert main([*argv, str(target)]) == 1
         assert 1 <= len(drawn) <= 2
 
     def test_incomparable(self, tmp_path, monkeypatch, closed_stdout):

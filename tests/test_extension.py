@@ -2,6 +2,7 @@
 
 import random
 import sys
+from contextlib import contextmanager
 from math import factorial, prod
 
 import pytest
@@ -27,7 +28,7 @@ from ordext import (
     validate,
 )
 from ordext.core import bits
-from ordext.errors import _decimal
+from ordext.errors import _decimal, _integer
 from ordext.extension import _extensions
 
 from helpers import (
@@ -639,6 +640,15 @@ class TestCount:
                     want //= factorial(length)
                 assert count_linear_extensions(disjoint_chains(lengths)) == want
 
+    @pytest.mark.parametrize("n", [500, 1500, 3000])
+    def test_disjoint_chains_at_scale(self, n):
+        # Chains of 30 (the last one shorter), the cap raised to the ground: the multinomial.
+        poset = validate(*scale_input(random.Random(n), "chains", n)[:2], auto_close=True)
+        want = factorial(n)
+        for k in range(0, n, 30):
+            want //= factorial(min(30, n - k))
+        assert count_linear_extensions(poset, cap=n) == want
+
     def test_ordinal_sum_counts_the_product(self):
         rng = random.Random(39)
         for _ in range(40):
@@ -655,23 +665,13 @@ class TestCount:
             )
 
 
+@pytest.mark.usefixtures("digit_cap_untouched")
 class TestNumbersOfAnyLength:
     """Limits and caps past the interpreter's default cap of 4,300 digits on int-to-str conversion
     are written in full, and the cap, where it exists, is never changed."""
 
     HUGE = 10**5000 + 7
     DIGITS = "1" + "0" * 4999 + "7"
-
-    @pytest.fixture(autouse=True)
-    def cap_untouched(self, monkeypatch):
-        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if cap is not None:
-            def refuse(value):
-                raise AssertionError("the process-wide digit cap was changed")
-
-            monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
-        yield
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_enumeration_repr(self):
         assert repr(enumerate_linear_extensions(chain(2), self.HUGE)) == (
@@ -700,11 +700,63 @@ class TestNumbersOfAnyLength:
         assert (_decimal(0), _decimal(10**640), _decimal(10**640 - 1)) == ("0", "1" + "0" * 640, "9" * 640)
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap on this interpreter")
-def test_digits_under_the_least_digit_cap():
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+@contextmanager
+def digit_cap(cap):
+    """The interpreter's cap on the digits of an int converted to or from text set to `cap`
+    (0: no cap) and then restored, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(cap)
     try:
-        assert _decimal(10**5000 + 7) == "1" + "0" * 4999 + "7"
+        yield
     finally:
-        sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(before)
+
+
+def test_digits_under_the_least_digit_cap():
+    with digit_cap(640):
+        assert _decimal(10**5000 + 7) == "1" + "0" * 4999 + "7"
+
+
+def int_or_error(read, text):
+    try:
+        return read(text)
+    except ValueError:
+        return ValueError
+
+
+# What a number's text is made of: digits (ASCII and not), signs, whitespace `int` strips and
+# whitespace it does not (\x1c), single and double underscores, and letters.
+_DIGITS = "0123456789"
+_EXTRAS = [" ", "\t", "\n", "\x1c", "\xa0", "\u3000", "+", "-", "_", "__", "\u0663", "\u0967", "a", "x"]
+_PREFIXES = ["", "", "-", "+", " -", "\u3000-", "\n+", "\x1c", "-_", "--", "_"]
+_SUFFIXES = ["", "", "", " ", "\t\n", "\xa0", "\x1c", "_"]
+
+
+@st.composite
+def numeric_texts(draw):
+    """A text of 1-9,000 characters: a run of digits, mostly long, between a prefix and a suffix
+    of signs and whitespace, with a few extras put in at multiples of a sixteenth of its length,
+    mostly the middle, where a reader cutting it into halves, quarters and so on cuts it."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # the digits, drawn outside Hypothesis
+    size = draw(st.one_of(st.integers(1, 30), st.integers(600, 8980)))
+    text = rng.choices(_DIGITS, k=size)
+    for _ in range(draw(st.integers(0, 4))):
+        text.insert(len(text) * draw(st.one_of(st.just(8), st.integers(0, 16))) // 16, draw(st.sampled_from(_EXTRAS)))
+    return draw(st.sampled_from(_PREFIXES)) + "".join(text) + draw(st.sampled_from(_SUFFIXES))
+
+
+class TestIntegerReader:
+    """`_integer` reads what `int` reads with no digit cap, and refuses what it refuses, under
+    the default cap and the least one."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(numeric_texts())
+    def test_matches_int_without_a_cap(self, text):
+        with digit_cap(0):
+            want = int_or_error(int, text)
+        for cap in (4300, 640):
+            with digit_cap(cap):
+                assert int_or_error(_integer, text) == want

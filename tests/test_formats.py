@@ -1,5 +1,7 @@
 """File formats: parsing, diagnostics with positions, canonical serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,9 @@ from ordext import (
     validate,
 )
 
-from helpers import outcome
+from helpers import outcome, scale_input
 from oracles import (
+    closure_text,
     parse_bijection_reference,
     parse_partition_reference,
     parse_relation_reference,
@@ -237,6 +240,18 @@ class TestFormatRelation:
         poset = validate(("lonely", "a", "b"), [("a", "b")])
         ground, _ = parse_relation(format_relation(poset))
         assert ground == ("lonely", "a", "b")
+
+
+class TestFormatScaleTier:
+    """The canonical text of closed posets at 1,000-3,000 elements, where the suite's other
+    format tests never go, against the text of a closure found by a search from every element."""
+
+    @pytest.mark.parametrize("family, n, seed", [
+        ("chain", 1000, 1), ("broom", 3000, 2), ("layers", 2000, 3), ("antichain", 3000, 4), ("chains", 3000, 5),
+    ])
+    def test_text(self, family, n, seed):
+        ground, pairs, _ = scale_input(random.Random(seed), family, n)
+        assert format_relation(validate(ground, pairs, auto_close=True)) == closure_text(ground, pairs)
 
 
 # Lines a relation, sequence or partition file can hold, good and malformed, with tabs and

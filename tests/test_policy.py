@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordext import TieBreakPolicy
-from ordext.policy import _BLOCK, _LAST_FIRST, _SplitMix64, _layout
+from ordext.policy import _BLOCK, _IN_ORDER, _SplitMix64, _layout
 
 from oracles import reference_draws, reference_shuffle, reference_stream
 
@@ -35,6 +35,15 @@ class TestParsing:
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             TieBreakPolicy.parse(text)
+
+    def test_zero_padded_seed_past_the_digit_cap(self):
+        # 5,001 digits, past the interpreter's default cap of 4,300, read as the CLI reads them.
+        assert TieBreakPolicy.parse("seed:" + "0" * 5000 + "7") == TieBreakPolicy.seeded(7)
+
+    def test_long_seed_names_the_range(self):
+        huge = "9" * 5000
+        with pytest.raises(ValueError, match="^seed out of unsigned 64-bit range: " + huge + "$"):
+            TieBreakPolicy.parse("seed:" + huge)
 
 
 class TestConstruction:
@@ -98,14 +107,14 @@ class TestGenerator:
             assert got == reference_stream(seed, len(got))
 
     @pytest.mark.parametrize("lanes", [1, 2, 16, 1024])
-    def test_last_first_low_words_in_both_byte_orders(self, lanes):
+    def test_low_words_in_stream_order_in_both_byte_orders(self, lanes):
         # Each byte order's slice, on the 64-bit words a machine of that order reads from
         # the int's bytes: the other order's words are the native ones byte-swapped.
         rng = random.Random(lanes)
         lane = [rng.getrandbits(128) for _ in range(lanes)]
         z = sum(value << 128 * t for t, value in enumerate(lane))
-        want = [value & (1 << 64) - 1 for value in reversed(lane)]
-        for order, words in _LAST_FIRST.items():
+        want = [value & (1 << 64) - 1 for value in lane]
+        for order, words in _IN_ORDER.items():
             seen = array("Q", z.to_bytes(16 * lanes, order))
             if order != sys.byteorder:
                 seen.byteswap()
