@@ -6,16 +6,16 @@ updates the covers; `linear_extension` removes sources one at a time
 along the covers with a tie-break policy deciding among candidates;
 `szpilrajn` chains the two and returns a certificate a caller can
 re-check, whose input relation is built when first read.  Enumeration
-tries every such removal order with one iterative walk, and a
-downset-counting dynamic program counts them one comparability component
-at a time; both cross-examine the fast path.  Results are correct by
-construction and are built without a second verification.
+walks every removal order, listing each free maximal tail (an unplaced
+upset that is an antichain) by `permutations`; a downset DP counts them
+per comparability component.  Both cross-examine the fast path, whose
+results are correct by construction, built without a second check.
 """
 
 import sys
 from bisect import insort
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, permutations
 from math import comb
 from typing import TYPE_CHECKING, Iterator
 
@@ -176,25 +176,30 @@ def szpilrajn(
 def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
     """Token tuples of all linear extensions, lexicographic by ground position.
 
-    The prefix of placed positions is the only stack, and the list of
-    their tokens is pushed and popped with it.  It grows by the first
-    position i that is unplaced with every predecessor placed,
-    `placed & down[i] == pred[i]`; every position below the lowest
-    unplaced one is placed and fails that test, so after a push the scan
-    starts at the lowest unplaced position.  To backtrack, pop the last
-    position k and resume the scan at k + 1.  Each order is found when it
-    is asked for, in O(n) memory and with no depth limit.
+    The prefix of placed positions is the only stack, its tokens pushed
+    and popped with it.  It grows by the first unplaced position i with
+    every predecessor placed, `placed & down[i] == pred[i]`; positions
+    below the lowest unplaced one are placed and fail that test, so after
+    a push the scan starts there.  To backtrack, pop the last position k
+    and resume the scan at k + 1.  The placed set is a downset, so the
+    unplaced set U is an upset, and an antichain exactly when every
+    `inner` (non-maximal) position is placed.  Then the scan admits all
+    of U at every level, so the orders below are `permutations` of U's
+    tokens in ascending position, handed out in C.  Each order is found
+    when it is asked for, in O(n) memory and with no depth limit.
     """
     g, pred = poset.ground, poset.pred
     n = len(g)
     down = [mask | 1 << i for i, mask in enumerate(pred)]
+    inner = sum(1 << i for i, mask in enumerate(poset.succ) if mask)
     prefix: list[int] = []
     tokens: list[str] = []
     placed = 0
     i = 0
     while True:
-        if len(prefix) == n:
-            yield tuple(tokens)
+        if placed & inner == inner:
+            rest = [g[j] for j in bits(placed ^ (1 << n) - 1)]
+            yield from map(tuple(tokens).__add__, permutations(rest))
             i = n
         while i < n and placed & down[i] != pred[i]:
             i += 1

@@ -219,6 +219,18 @@ def _cli_cases(rng: random.Random) -> dict[str, tuple]:
     split = {"bip-ground.seq": ground, "bip-a.seq": ground[2::3], "bip-b.seq": [t for t in ground[::-7] if t not in a]}
     split = {name: "".join(f"{tok}\n" for tok in seq).encode() for name, seq in split.items()}
     cases["cli/bipartition-1100/seed"] = (["bipartition", *split, "--tie-break", "seed:9"], split, {})
+    # Walks whose last levels are one free maximal tail: three chains of three listing the tops
+    # first (1,680 orders), a limit that stops inside the 8! orders of one tail, and the
+    # smallest grounds.
+    tops = "".join(f"c{i}_{j}\n" for i in (2, 1, 0) for j in (2, 1, 0)) + "---\n"
+    tops += "".join(f"c{i}_{j} < c{i}_{j + 1}\n" for i in range(3) for j in range(2))
+    cases["cli/tops9.rel/enumerate"] = (["enumerate", "tops9.rel"], {"tops9.rel": tops.encode()}, {})
+    anti = {"anti8.rel": "".join(f"a{i}\n" for i in range(8)).encode() + b"---\n"}
+    cases["cli/anti8.rel/enumerate-limit-5000/machine"] = (
+        ["enumerate", "anti8.rel", "--limit", "5000", "--output", "machine"], anti, {})
+    for name, data in (("one-element.rel", b"a\n---\n"), ("no-lines.rel", b"")):
+        for mode in ("human", "machine"):
+            cases[f"cli/{name}/enumerate/{mode}"] = (["enumerate", name, "--output", mode], {name: data}, {})
     return cases
 
 

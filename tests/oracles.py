@@ -3,7 +3,9 @@
 Each oracle takes a different route than the library: closure by
 repeated relational composition instead of reachability search,
 extension enumeration by filtering whole permutations instead of
-backtracking, extension counting by one dynamic program over the
+backtracking, and by the walk that steps through every level one
+position at a time instead of listing each free maximal tail with
+`permutations`, extension counting by one dynamic program over the
 downsets of the whole ground instead of one per comparability
 component, density by a full double loop instead of consecutive-gap
 checks, incomparable pairs and order-axiom witnesses by scanning pairs
@@ -31,6 +33,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import field, make_dataclass
 from itertools import chain, islice, permutations
+from typing import Iterator
 
 from ordext import (
     DuplicateElement,
@@ -231,6 +234,45 @@ def extensions_by_filter(poset: Poset) -> set[tuple[str, ...]]:
         if all(pos[x] < pos[y] for x, y in rel):
             out.add(perm)
     return out
+
+
+def extensions_by_walk(poset: Poset) -> Iterator[tuple[str, ...]]:
+    """Token tuples of all linear extensions, lexicographic by ground position.
+
+    The prefix of placed positions is the only stack, and the list of
+    their tokens is pushed and popped with it.  It grows by the first
+    position i that is unplaced with every predecessor placed,
+    `placed & down[i] == pred[i]`; every position below the lowest
+    unplaced one is placed and fails that test, so after a push the scan
+    starts at the lowest unplaced position.  To backtrack, pop the last
+    position k and resume the scan at k + 1.  Each order is found when it
+    is asked for, in O(n) memory and with no depth limit.
+    """
+    g, pred = poset.ground, poset.pred
+    n = len(g)
+    down = [mask | 1 << i for i, mask in enumerate(pred)]
+    prefix: list[int] = []
+    tokens: list[str] = []
+    placed = 0
+    i = 0
+    while True:
+        if len(prefix) == n:
+            yield tuple(tokens)
+            i = n
+        while i < n and placed & down[i] != pred[i]:
+            i += 1
+        if i < n:
+            prefix.append(i)
+            tokens.append(g[i])
+            placed |= 1 << i
+            i = (~placed & (placed + 1)).bit_length() - 1
+        elif prefix:
+            i = prefix.pop()
+            del tokens[-1]
+            placed ^= 1 << i
+            i += 1
+        else:
+            return
 
 
 def count_by_downsets(poset: Poset) -> int:

@@ -528,6 +528,14 @@ class TestUsage:
         code, _, _ = run("enumerate", "--limit", "-1", "r", files={"r": CHAIN})
         assert code == 2
 
+    def test_option_between_the_file_and_an_optional_positional(self, run, tmp_path):
+        # Options go before a command's optional positional arguments (README, Usage): after an
+        # option, argparse takes no more positionals, and the subset file is left over.
+        files = {"r.rel": DIAMOND, "s.seq": "0\nx\n1\n"}
+        code, out, err = run("validate", "r.rel", "--auto-close", "s.seq", files=files)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"ordext: error: unrecognized arguments: {tmp_path / 's.seq'}"
+
     def test_help_exits_zero(self, run):
         code, out, _ = run("--help")
         assert code == 0
@@ -653,12 +661,16 @@ class TestStreamedOutput:
             drawn.append(item)
             yield item
 
-    def test_enumerate(self, tmp_path, monkeypatch, closed_stdout):
+    @pytest.mark.parametrize("text", [
+        "a\nb\nc\nd\ne\n---\n",  # 120 orders, one free maximal tail from the start
+        "a\nb\nc\nd\ne\nf\ng\n---\na < b\n",  # 2,520 orders; the first tail starts once a is placed
+    ], ids=["antichain", "tail-partway"])
+    def test_enumerate(self, tmp_path, monkeypatch, closed_stdout, text):
         drawn = []
         walk = ordext.extension._extensions
         monkeypatch.setattr(ordext.extension, "_extensions", lambda poset: self.counted(walk(poset), drawn))
         target = tmp_path / "r.txt"
-        target.write_text("a\nb\nc\nd\ne\n---\n", encoding="utf-8")  # 120 orders
+        target.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(closed_stdout):
             assert main(["enumerate", str(target)]) == 1
         assert 1 <= len(drawn) <= 2

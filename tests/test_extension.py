@@ -45,6 +45,7 @@ from oracles import (
     closure_fixpoint,
     count_by_downsets,
     extensions_by_filter,
+    extensions_by_walk,
     is_total,
     linearize_by_kahn,
     linearize_by_scan,
@@ -312,6 +313,19 @@ class TestWideAntichains:
         assert linear_extension(poset).sequence == tuple(ground)
 
 
+class TestWalkMatchesTheStepwiseWalk:
+    """Listing each free maximal tail by `permutations` hands out exactly the orders, in the
+    same order, of the walk that steps through every level one position at a time."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 9), st.floats(0, 0.6), st.integers(0, 2**32), st.booleans())
+    def test_random_posets(self, n, density, seed, tops_first):
+        poset = random_poset(random.Random(seed), n, density)
+        if tops_first:  # the ground listed in the reverse of a linear extension: maximal elements first
+            poset = validate(linear_extension(poset).sequence[::-1], poset.relation)
+        assert list(_extensions(poset)) == list(extensions_by_walk(poset))
+
+
 class TestEnumeratedOrdersMatchVerifiedOnes:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(0, 7), st.floats(0, 0.5), st.integers(0, 2**32))
@@ -573,6 +587,17 @@ class TestEnumerate:
         assert [o.sequence for o in result] == [poset.ground]
         assert not result.truncated
 
+    def test_limits_inside_a_free_tail(self):
+        # Once a is placed, b and the five free elements are maximal: one tail of 6! = 720
+        # orders; once c is placed first, a tail of 5! = 120 follows a.  2,520 orders in all.
+        poset = validate(list("abcdefg"), [("a", "b")])
+        want = list(extensions_by_walk(poset))
+        assert len(want) == 2520
+        for limit in (1, 2, 719, 720, 721, 780, 2519, 2520, 2521):
+            result = enumerate_linear_extensions(poset, limit)
+            assert [o.sequence for o in result] == want[:limit]
+            assert result.truncated == (limit < len(want))
+
     def test_first_order_arrives_without_the_rest(self):
         # 30! orders: only a walk that stops when asked can return.
         poset = antichain(30)
@@ -580,6 +605,13 @@ class TestEnumerate:
         result = enumerate_linear_extensions(poset, limit=2)
         assert [o.sequence[-2:] for o in result] == [("a28", "a29"), ("a29", "a28")]
         assert result.truncated
+
+    def test_first_order_of_a_tail_partway_arrives_at_once(self):
+        # Below a29 lies a0: once a0 is placed, the 29! orders of the rest are one free tail.
+        poset = validate([f"a{i}" for i in range(30)], [("a0", "a29")])
+        walk = _extensions(poset)
+        assert next(walk) == poset.ground
+        assert next(walk)[-2:] == ("a29", "a28")
 
 
 class TestCount:
