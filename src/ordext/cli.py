@@ -33,7 +33,7 @@ closed by hand.
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
@@ -98,7 +98,7 @@ def _nonnegative_arg(text: str) -> int:
 def _emit(sequence: tuple[str, ...], mode: str) -> str:
     if mode == "machine":
         return "\t".join(sequence) + "\n"
-    return "".join([token + "\n" for token in sequence])
+    return "\n".join(sequence) + "\n" if sequence else ""
 
 
 def cmd_validate(args: argparse.Namespace) -> Iterable[str]:
@@ -140,10 +140,10 @@ def cmd_enumerate(args: argparse.Namespace) -> Iterable[str]:
             raise ParseError(f"{ENV_ENUM_LIMIT} must be nonnegative: {raw}")
     # The same walk as enumerate_linear_extensions, handed out as it goes.
     walk = _extensions(poset)
-    for i, sequence in enumerate(islice(walk, min(limit, sys.maxsize))):
-        if i and args.output == "human":
-            yield "\n"
-        yield _emit(sequence, args.output)
+    texts = map(_emit, islice(walk, min(limit, sys.maxsize)), repeat(args.output))
+    if args.output == "human":  # a blank line opens every order but the first
+        texts = chain(islice(texts, 1), map("\n".__add__, texts))
+    yield from texts
     if next(walk, None) is not None:
         sys.stderr.write(f"note: enumeration truncated at limit {limit}\n")
 

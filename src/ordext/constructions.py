@@ -7,12 +7,13 @@ are normalized to ground order, then :func:`policy._layout` starts one
 breaker and arranges them in output order, its stream running on from
 one segment into the next, so the line order of a subset file never
 leaks into the output.  The density predicate asks a betweenness
-question about one existing order.
+question about one existing order, answered by one pass over it: the
+members of T1 and T2 are labelled, and the labels joined along the
+order must never show two T2 members with no T1 member between them.
 """
 
-from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 from .core import LinearOrder, _linear_order, _Record, _valid_tokens, check_ground, check_token
@@ -206,11 +207,25 @@ def is_dense(
 
     True when every pair a before b in T2 has some c in T1 with
     a < c < b (strict) or a <= c <= b (non-strict, c may equal an
-    endpoint).  Checking consecutive T2 positions suffices: a witness
-    for a consecutive gap works for every wider pair around it.
+    endpoint).  Checking consecutive T2 members suffices: a witness for
+    a consecutive gap works for every wider pair around it.  So each
+    member gets a label, "a" for T1 and "b" for T2, and T1 is dense
+    exactly when the labels read along the order never hold "bb".  A
+    member of both is labelled "b" when strict, since it cannot lie
+    strictly inside a gap it bounds, and "a" when not, since it then
+    witnesses both gaps it bounds.  Each call reads the whole order once,
+    in C: O(|order|) however small T1 and T2 are, and nothing is cached
+    on `order` (the CLI builds its order afresh on every call anyway).
+    T1 is checked and looked up before T2; the first member outside the
+    order is unknown.
     """
-    p1 = sorted(order.position(tok) for tok in check_ground(t1))
-    p2 = sorted(order.position(tok) for tok in check_ground(t2))
-    # hi(p1, right) - lo(p1, left) counts the T1 positions in the gap, open when strict.
-    lo, hi = (bisect_right, bisect_left) if strict else (bisect_left, bisect_right)
-    return all(lo(p1, left) < hi(p1, right) for left, right in zip(p2, p2[1:]))
+    known = set(order.sequence)
+    labelled = []
+    for tokens, label in ((t1, "a"), (t2, "b")):
+        seq = check_ground(tokens)
+        if not known.issuperset(seq):
+            raise UnknownElement(next(tok for tok in seq if tok not in known))
+        labelled.append(dict.fromkeys(seq, label))
+    a, b = labelled
+    labels = a | b if strict else b | a  # the later label wins on a member of both
+    return "bb" not in "".join(map(labels.get, order.sequence, repeat("")))

@@ -20,12 +20,14 @@ benchmark relation file through that ranked loop was 12-18% slower
 (summed medians: `deps` 58.3 to 66.0 ms, `wide-exhaustive` 8.99 to
 10.63 ms).  The public constructors verify everything they are given;
 results correct by construction are assembled by `_closed_poset` and
-`_linear_order` without a second check.  Tokens are checked as one
+`_linear_order` (a batch of orders by `_linear_orders`) without a
+second check.  Tokens are checked as one
 batch by `_valid_tokens` and walked one by one only to name a witness.
 All values are immutable after construction and every operation is a
 pure function of its inputs.
 """
 
+from collections import deque
 from functools import cached_property
 from itertools import combinations, compress, repeat
 from typing import Iterable, Sequence
@@ -297,6 +299,14 @@ def _linear_order(sequence: tuple[str, ...]) -> LinearOrder:
     order = object.__new__(LinearOrder)
     object.__setattr__(order, "sequence", sequence)
     return order
+
+
+def _linear_orders(sequences: list[tuple[str, ...]]) -> tuple[LinearOrder, ...]:
+    """The orders of `sequences`, each as :func:`_linear_order` builds it, made and filled in C:
+    no Python frame runs per order, and the fill is drained by a zero-length `deque`."""
+    orders = tuple(map(object.__new__, repeat(LinearOrder, len(sequences))))
+    deque(map(object.__setattr__, orders, repeat("sequence"), sequences), maxlen=0)
+    return orders
 
 
 def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], order: list[int],

@@ -20,7 +20,9 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .core import DEFAULT_COUNT_CAP, DEFAULT_ENUM_LIMIT  # noqa: F401  (public names of this module too)
-from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, bits, check_token
+from .core import (
+    LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, _linear_orders, bits, check_token,
+)
 from .errors import CapExceeded, NotIncomparable, _decimal
 
 if TYPE_CHECKING:  # a policy given is already loaded, and without one none is needed
@@ -223,15 +225,17 @@ def enumerate_linear_extensions(
     """The first `limit` linear extensions, lexicographic by ground position.
 
     Slices :func:`_extensions`, the walk the CLI streams, at `limit`
-    (default 10^6); `truncated` says whether one more order exists.  No
-    walk reaches `sys.maxsize` orders, so a larger limit takes them all.
+    (default 10^6) and builds the orders in one batch in C
+    (`core._linear_orders`); `truncated` says whether one more order
+    exists.  No walk reaches `sys.maxsize` orders, so a larger limit
+    takes them all.
     """
     if limit is None:
         limit = DEFAULT_ENUM_LIMIT
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {_decimal(limit)}")
     walk = _extensions(poset)
-    orders = tuple(map(_linear_order, islice(walk, min(limit, sys.maxsize))))
+    orders = _linear_orders(list(islice(walk, min(limit, sys.maxsize))))
     return Enumeration(orders=orders, truncated=next(walk, None) is not None, limit=limit)
 
 

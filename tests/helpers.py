@@ -9,6 +9,9 @@ seed reproduces the exact same instances.
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
+
+import pytest
 
 from ordext import LinearOrder, Poset, TieBreakPolicy, validate
 
@@ -82,12 +85,18 @@ def assert_matches_verified(poset: Poset) -> None:
 
 
 def assert_order_matches_verified(order: LinearOrder) -> None:
-    """`order` holds a tuple and equals and hashes like `LinearOrder(sequence)`,
-    which checks every token and rejects a repeated one."""
+    """`order` holds a tuple, equals and hashes like `LinearOrder(sequence)`, which
+    checks every token and rejects a repeated one, answers `positions` and `before`
+    as that order does, and refuses assignment."""
     assert type(order.sequence) is tuple
     verified = LinearOrder(order.sequence)
     assert order == verified
     assert hash(order) == hash(verified)
+    assert order.positions == verified.positions
+    seq = order.sequence
+    assert all(order.before(x, y) and not order.before(y, x) for x, y in zip(seq, seq[1:]))
+    with pytest.raises(FrozenInstanceError):
+        order.sequence = ()
 
 
 def outcome(make, *args):

@@ -8,8 +8,11 @@ position at a time instead of listing each free maximal tail with
 `permutations`, extension counting by one dynamic program over the
 downsets of the whole ground instead of one per comparability
 component, density by a full double loop instead of consecutive-gap
-checks, incomparable pairs and order-axiom witnesses by scanning pairs
-and triples of the pair set instead of bitmasks, the seeded generator
+checks and by bisecting sorted positions (`is_dense_by_bisect`, the
+library's former routine, which also names the same witnesses) instead
+of reading member labels along the order, incomparable pairs and
+order-axiom witnesses by scanning pairs and triples of the pair set
+instead of bitmasks, the seeded generator
 one draw at a time instead of in lanes, linearization by shuffling
 each candidate list in full instead of following one position through
 the swaps (by counting unplaced predecessors, and by rescanning the
@@ -30,7 +33,7 @@ routes is what the property tests assert.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import field, make_dataclass
 from itertools import chain, islice, permutations
 from typing import Iterator
@@ -45,6 +48,7 @@ from ordext import (
     ParseError,
     Poset,
     TieBreakPolicy,
+    check_ground,
     check_token,
 )
 
@@ -308,6 +312,16 @@ def dense_double_loop(t1, t2, order: LinearOrder, strict: bool) -> bool:
             if not ok:
                 return False
     return True
+
+
+def is_dense_by_bisect(t1, t2, order: LinearOrder, strict: bool = True) -> bool:
+    """Density over consecutive T2 positions, counting the T1 positions in each gap by
+    bisection of the sorted positions; it raises what the library does, in the same order."""
+    p1 = sorted(order.position(tok) for tok in check_ground(t1))
+    p2 = sorted(order.position(tok) for tok in check_ground(t2))
+    # hi(p1, right) - lo(p1, left) counts the T1 positions in the gap, open when strict.
+    lo, hi = (bisect_right, bisect_left) if strict else (bisect_left, bisect_right)
+    return all(lo(p1, left) < hi(p1, right) for left, right in zip(p2, p2[1:]))
 
 
 def strict_order_axioms_hold(ground, rel) -> bool:

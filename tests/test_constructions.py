@@ -12,6 +12,7 @@ from ordext import (
     EmptySubset,
     NotBijective,
     NotDisjoint,
+    OrderError,
     Partition,
     TieBreakPolicy,
     UnknownElement,
@@ -23,7 +24,12 @@ from ordext import (
 )
 
 from helpers import assert_order_matches_verified, outcome, random_policy
-from oracles import bijection_pairs_reference, dense_double_loop, partition_blocks_reference
+from oracles import (
+    bijection_pairs_reference,
+    dense_double_loop,
+    is_dense_by_bisect,
+    partition_blocks_reference,
+)
 
 
 class TestPartitionType:
@@ -301,8 +307,9 @@ class TestIsDense:
 
     def test_unknown_member(self):
         order = order_from_enumeration(("a", "b"))
-        with pytest.raises(UnknownElement):
+        with pytest.raises(UnknownElement) as info:
             is_dense(("z",), ("a", "b"), order, strict=True)
+        assert info.value.token == "z"
 
     def test_strict_between(self):
         order = order_from_enumeration(("a", "m", "b"))
@@ -333,3 +340,50 @@ class TestIsDense:
             t2 = rng.sample(seq, rng.randrange(0, n + 1))
             if is_dense(t1, t2, order, strict=True):
                 assert is_dense(t1, t2, order, strict=False)
+
+
+@st.composite
+def dense_cases(draw, faults):
+    """An order of 0-12 elements with T1 and T2 drawn from it independently, so they often
+    overlap; with `faults`, up to two unknown members may join T1 and T2 each, and T2 may
+    repeat a member or hold a token no ground can."""
+    n = draw(st.integers(0, 12))
+    seq = draw(st.permutations([f"g{i}" for i in range(n)]))
+    members = st.lists(st.sampled_from(seq), unique=True) if seq else st.builds(list)
+    t1, t2 = draw(members), draw(members)
+    if faults:
+        for chosen, unknowns in ((t1, ("u1", "w1")), (t2, ("u2", "w2"))):
+            for unknown in unknowns:
+                if draw(st.booleans()):
+                    chosen.insert(draw(st.integers(0, len(chosen))), unknown)
+        bad = draw(st.sampled_from([None, "repeat", "", "a b", "#c", "x<y", "---", 7]))
+        if bad == "repeat" and t2:
+            t2.insert(draw(st.integers(0, len(t2))), draw(st.sampled_from(t2)))
+        elif bad not in (None, "repeat"):
+            t2.insert(draw(st.integers(0, len(t2))), bad)
+    return order_from_enumeration(seq), t1, t2
+
+
+def dense_outcome(check, t1, t2, order, strict):
+    try:
+        return check(t1, t2, order, strict)
+    except OrderError as exc:
+        return type(exc), exc.token, str(exc)
+
+
+class TestIsDenseMatchesBisect:
+    """Member labels read along the order decide density as bisecting sorted positions did,
+    and a bad T1 or T2 raises the same class with the same token."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(dense_cases(faults=False), st.booleans())
+    def test_random_cases(self, case, strict):
+        order, t1, t2 = case
+        assert is_dense(t1, t2, order, strict) == is_dense_by_bisect(t1, t2, order, strict)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(dense_cases(faults=True), st.booleans())
+    def test_injected_faults(self, case, strict):
+        order, t1, t2 = case
+        got = dense_outcome(is_dense, t1, t2, order, strict)
+        assert got == dense_outcome(is_dense_by_bisect, t1, t2, order, strict)

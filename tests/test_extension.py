@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ordext import (
     CapExceeded,
+    Enumeration,
     ExtensionCertificate,
     ForcedPair,
     LinearOrder,
@@ -27,7 +28,7 @@ from ordext import (
     transitive_closure,
     validate,
 )
-from ordext.core import bits
+from ordext.core import _linear_order, bits
 from ordext.errors import _decimal, _integer
 from ordext.extension import _extensions
 
@@ -83,6 +84,13 @@ def ordinal_sum(parts):
         pairs.extend((x, y) for x in ground for y in names)
         ground.extend(names)
     return validate(ground, pairs)
+
+
+def verified_enumeration(sequences, limit):
+    """The enumeration that keeps the first `limit` of all the `sequences`, in order, each a
+    verified `LinearOrder`, truncated when some are left."""
+    sequences = list(sequences)
+    return Enumeration(tuple(map(LinearOrder, sequences[:limit])), limit < len(sequences), limit)
 
 
 @st.composite
@@ -327,10 +335,14 @@ class TestWalkMatchesTheStepwiseWalk:
 
 
 class TestEnumeratedOrdersMatchVerifiedOnes:
+    """The orders an enumeration builds in one batch are laid out as `_linear_order` lays out one."""
+
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(0, 7), st.floats(0, 0.5), st.integers(0, 2**32))
     def test_enumerate(self, n, density, seed):
         for order in enumerate_linear_extensions(random_poset(random.Random(seed), n, density)):
+            assert type(order) is LinearOrder
+            assert vars(order) == vars(_linear_order(order.sequence))
             assert_order_matches_verified(order)
 
 
@@ -524,12 +536,15 @@ class TestEnumerate:
         result = enumerate_linear_extensions(antichain(2), limit=0)
         assert len(result) == 0
         assert result.truncated
+        assert result == Enumeration((), True, 0)
 
     def test_limit_past_maxsize_is_no_limit(self):
-        result = enumerate_linear_extensions(antichain(3), limit=2**70)
+        poset = antichain(3)
+        result = enumerate_linear_extensions(poset, limit=2**70)
         assert len(result) == 6
         assert not result.truncated
         assert result.limit == 2**70
+        assert result == verified_enumeration(extensions_by_walk(poset), 2**70)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -593,10 +608,12 @@ class TestEnumerate:
         poset = validate(list("abcdefg"), [("a", "b")])
         want = list(extensions_by_walk(poset))
         assert len(want) == 2520
-        for limit in (1, 2, 719, 720, 721, 780, 2519, 2520, 2521):
+        for limit in (0, 1, 2, 719, 720, 721, 780, 2519, 2520, 2521):
             result = enumerate_linear_extensions(poset, limit)
             assert [o.sequence for o in result] == want[:limit]
             assert result.truncated == (limit < len(want))
+            assert result == verified_enumeration(want, limit)
+            assert hash(result) == hash(verified_enumeration(want, limit))
 
     def test_first_order_arrives_without_the_rest(self):
         # 30! orders: only a walk that stops when asked can return.
