@@ -7,7 +7,9 @@ non-disjoint subsets, broken bijections), 2 for malformed or unreadable
 files, bad usage, output that cannot be written (`error: cannot write
 output: ...`, say on a full disk) and running out of memory (`error: out
 of memory`).  A reader that closes the pipe early ends the run quietly
-with status 1; one path in `main` ends every failed write.  Numbers,
+with status 1; one path in `main` ends every failed write, also to a
+stdout closed before the run.  A closed stderr drops the messages, not
+the status.  Numbers,
 read or written, have no digit limit, `--tie-break seed:` included, and
 are read without touching interpreter state (`errors._integer`).
 Output is a pure function of the inputs: identical files, flags, and
@@ -31,6 +33,7 @@ closed by hand.
 """
 
 import argparse
+import errno
 import os
 import sys
 from itertools import chain, islice, repeat
@@ -144,7 +147,7 @@ def cmd_enumerate(args: argparse.Namespace) -> Iterable[str]:
     if args.output == "human":  # a blank line opens every order but the first
         texts = chain(islice(texts, 1), map("\n".__add__, texts))
     yield from texts
-    if next(walk, None) is not None:
+    if next(walk, None) is not None and sys.stderr is not None:
         sys.stderr.write(f"note: enumeration truncated at limit {limit}\n")
 
 
@@ -301,25 +304,29 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        sys.stdout.writelines(args.func(args))
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.writelines(args.func(args))
+            sys.stdout.flush()
+        elif any(args.func(args)):  # stdout was closed before the run: the output fails as a write would
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         return 0
     except OSError as exc:
         # Files are read through _read, so this is a failed write to stdout: the reader left
-        # early (`ordext enumerate ... | head`; quietly) or the disk is full.  Drop the
-        # unwritten rest, so the flush at exit reports nothing a second time.
-        with open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+        # early (`ordext enumerate ... | head`; quietly), the disk is full or stdout is closed.
+        # Drop the unwritten rest, so the flush at exit reports nothing a second time.
+        if sys.stdout is not None:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 1
-        sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
-        return 2
+        code, message = 2, f"cannot write output: {exc.strerror or exc}"
     except MemoryError:
-        sys.stderr.write("error: out of memory\n")
-        return 2
+        code, message = 2, "out of memory"
     except (ParseError, OrderError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2 if isinstance(exc, ParseError) else 1
+        code, message = 2 if isinstance(exc, ParseError) else 1, exc
+    if sys.stderr is not None:  # None when stderr was closed before the run: the status alone tells
+        sys.stderr.write(f"error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

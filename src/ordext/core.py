@@ -21,7 +21,8 @@ benchmark relation file through that ranked loop was 12-18% slower
 10.63 ms).  The public constructors verify everything they are given;
 results correct by construction are assembled by `_closed_poset` and
 `_linear_order` (a batch of orders by `_linear_orders`) without a
-second check.  Tokens are checked as one
+second check.  Raw pairs are read only by `_masks`, which rejects the
+least stray after reading them all.  Tokens are checked as one
 batch by `_valid_tokens` and walked one by one only to name a witness.
 All values are immutable after construction and every operation is a
 pure function of its inputs.
@@ -150,10 +151,10 @@ def bits(mask: int) -> list[int]:
     return out[::-1]
 
 
-def _masks(pairs: Iterable[Pair], index: dict[str, int]) -> tuple[list[int], list[int], list[Pair]]:
-    """Successor and predecessor bitmasks of `pairs` over the positions in `index`,
-    plus the pairs a strict relation cannot hold: self-loops and pairs with an
-    endpoint outside `index` (which alone get no bit)."""
+def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False) -> tuple[list[int], list[int]]:
+    """Successor and predecessor bitmasks of `pairs` over the positions in `index`, all read before the least
+    stray is rejected: the non-string with the least repr, else the least stray pair's first endpoint outside
+    `index`, else its self-loop, which `loops` lets through as a cycle for the closing routine to name."""
     succ = [0] * len(index)
     pred = [0] * len(index)
     stray = []
@@ -165,9 +166,18 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int]) -> tuple[list[int], lis
             continue
         succ[i] |= 1 << j
         pred[j] |= 1 << i
-        if i == j:
+        if i == j and not loops:
             stray.append((x, y))
-    return succ, pred, stray
+    if stray:
+        odd = [tok for pair in stray for tok in pair if not isinstance(tok, str)]
+        if odd:
+            raise InvalidToken(min(odd, key=repr), "not a string")
+        x, y = min(stray)
+        for tok in (x, y):
+            if tok not in index:
+                raise UnknownElement(tok)
+        raise AntisymmetryViolation((x, x))
+    return succ, pred
 
 
 def _reach(succ: list[int], order: Iterable[int], rows: Iterable[Iterable[int]]) -> list[int]:
@@ -182,20 +192,6 @@ def _reach(succ: list[int], order: Iterable[int], rows: Iterable[Iterable[int]])
         cover[i] = succ[i] & ~reach
         succ[i] |= reach
     return cover
-
-
-def _reject(stray: list[Pair], index: dict[str, int]) -> None:
-    """Raise for the non-string token with the least repr, else for the
-    lexicographically first stray pair, if there is one."""
-    if stray:
-        odd = [tok for pair in stray for tok in pair if not isinstance(tok, str)]
-        if odd:
-            raise InvalidToken(min(odd, key=repr), "not a string")
-        x, y = min(stray)
-        for tok in (x, y):
-            if tok not in index:
-                raise UnknownElement(tok)
-        raise AntisymmetryViolation((x, x))
 
 
 class Poset(_Record):
@@ -221,8 +217,7 @@ class Poset(_Record):
     def __post_init__(self, ground: Iterable[str], relation: Iterable[Pair]):
         object.__setattr__(self, "ground", check_ground(ground))
         g = self.ground
-        succ, pred, stray = _masks(relation, self.ground_index)
-        _reject(stray, self.ground_index)
+        succ, pred = _masks(relation, self.ground_index)
         for i, mask in enumerate(succ):
             if both := mask & pred[i]:
                 raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
@@ -309,20 +304,18 @@ def _linear_orders(sequences: list[tuple[str, ...]]) -> tuple[LinearOrder, ...]:
     return orders
 
 
-def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], order: list[int],
+def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], left: list[int],
                     starts: Iterable[int]) -> list[str]:
     """A shortest cycle x, ..., x of masks that hold one: breadth-first search
     from each start in turn, neighbours by position, first shortest kept.
 
-    Only the core is searched: the nodes Kahn's queue left out of `order`,
-    minus the sinks a reverse Kahn pass strips.  Every cycle lies in the
-    core, and so does every node on a path from a core node back to it, so
-    no node left out changes a search's parents or the cycle it returns.
-    `pred` within the nodes left out is the input's: only queued nodes'
-    masks were ORed into it.
+    Only the core is searched: `left`, the nodes Kahn's queue left out,
+    ascending, minus the sinks a reverse Kahn pass strips.  Every cycle lies
+    in the core, and so does every node on a path from a core node back to
+    it, so no node left out changes a search's parents or the cycle it
+    returns.  `pred` within `left` is the input's: only queued nodes' masks
+    were ORed into it.
     """
-    queued = set(order)
-    left = [i for i in range(len(nodes)) if i not in queued]
     core = sum(1 << i for i in left)
     outdegree = {i: (succ[i] & core).bit_count() for i in left}
     sinks = [i for i in left if not outdegree[i]]
@@ -369,7 +362,7 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int], cycle: type, 
             if not indegree[j]:
                 order.append(j)
     if len(order) < len(nodes):
-        raise cycle(_shortest_cycle(nodes, succ, pred, order, starts))
+        raise cycle(_shortest_cycle(nodes, succ, pred, [i for i, d in enumerate(indegree) if d], starts))
     order.reverse()
     cover = _reach(succ, order, map(rows.__getitem__, order))
     return _closed_poset(nodes, succ, pred, cover)
@@ -390,9 +383,7 @@ def _closure(pairs: Sequence[Pair], node_order: Iterable[str] | None) -> Poset:
     last = {tok: i for i, tok in enumerate(node_order)}
     nodes = sorted(last, key=last.__getitem__)
     index = {tok: i for i, tok in enumerate(nodes)}
-    succ, pred, stray = _masks(pairs, index)
-    # Self-loops are cycles here, reported like any other.
-    _reject([p for p in stray if p[0] not in index or p[1] not in index], index)
+    succ, pred = _masks(pairs, index, loops=True)  # a self-loop is a cycle here, named like any other
     return _close(nodes, succ, pred, ClosureCreatesReflexivePair, map(index.get, node_order))
 
 
@@ -427,9 +418,7 @@ def validate(
         return Poset(ground, pairs)
     seq = check_ground(ground)
     index = {tok: i for i, tok in enumerate(seq)}
-    succ, pred, stray = _masks(pairs, index)
-    _reject(stray, index)
-    return _close(seq, succ, pred, AntisymmetryViolation, range(len(seq)))
+    return _close(seq, *_masks(pairs, index), AntisymmetryViolation, range(len(seq)))
 
 
 def restrict(poset: Poset, subset: Iterable[str]) -> Poset:

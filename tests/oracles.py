@@ -25,7 +25,9 @@ time instead of one batch, the shortest-cycle witness of an acyclic
 relation plus one back edge by distances from the edge's two ends and
 a greedy walk instead of a breadth-first search from each start, the
 shortest cycle of any digraph by searching every node instead of its
-cyclic core alone, and
+cyclic core alone, the front end for raw pairs by collecting every
+stray pair and rejecting the least in a second function (`core._masks`
+and `core._reject` before `_masks` rejected its own strays), and
 the eight record classes by frozen dataclasses instead of one
 hand-written base.  Agreement between the
 routes is what the property tests assert.
@@ -39,6 +41,7 @@ from itertools import chain, islice, permutations
 from typing import Iterator
 
 from ordext import (
+    AntisymmetryViolation,
     DuplicateElement,
     EmptyBlock,
     InvalidToken,
@@ -48,6 +51,7 @@ from ordext import (
     ParseError,
     Poset,
     TieBreakPolicy,
+    UnknownElement,
     check_ground,
     check_token,
 )
@@ -153,6 +157,53 @@ def shortest_cycle_by_search(nodes, succ, starts) -> list[str]:
                     parent[nxt] = node
                     queue.append(nxt)
     return [nodes[i] for i in best]
+
+
+def masks_and_strays(pairs, index):
+    """Successor and predecessor bitmasks of `pairs` over the positions in `index`,
+    plus the pairs a strict relation cannot hold: self-loops and pairs with an
+    endpoint outside `index` (which alone get no bit)."""
+    succ = [0] * len(index)
+    pred = [0] * len(index)
+    stray = []
+    for x, y in pairs:
+        try:
+            i, j = index[x], index[y]
+        except (KeyError, TypeError):  # TypeError: an unhashable token, a stray like any non-string
+            stray.append((x, y))
+            continue
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+        if i == j:
+            stray.append((x, y))
+    return succ, pred, stray
+
+
+def reject_stray(stray, index) -> None:
+    """Raise for the non-string token with the least repr, else for the
+    lexicographically first stray pair, if there is one."""
+    if stray:
+        odd = [tok for pair in stray for tok in pair if not isinstance(tok, str)]
+        if odd:
+            raise InvalidToken(min(odd, key=repr), "not a string")
+        x, y = min(stray)
+        for tok in (x, y):
+            if tok not in index:
+                raise UnknownElement(tok)
+        raise AntisymmetryViolation((x, x))
+
+
+def stray_error(pairs, index, loops=False) -> Exception | None:
+    """The error `reject_stray` raises for the strays of `pairs` over `index`, or None.  With
+    `loops`, a self-loop on an element of `index` is no stray: it is a cycle, named elsewhere."""
+    stray = masks_and_strays(pairs, index)[2]
+    if loops:
+        stray = [(x, y) for x, y in stray if not (isinstance(x, str) and x == y and x in index)]
+    try:
+        reject_stray(stray, index)
+    except (InvalidToken, UnknownElement, AntisymmetryViolation) as exc:
+        return exc
+    return None
 
 
 def closure_fixpoint(pairs) -> set[tuple[str, str]]:

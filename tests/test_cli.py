@@ -6,6 +6,7 @@ import io
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -642,6 +643,75 @@ class TestWriteFailure:
         finally:
             os.close(fd)
         assert capsys.readouterr().err == 2 * self.MESSAGE
+
+
+class TestClosedStreams:
+    """A descriptor closed before the run leaves `sys.stdout` or `sys.stderr` None: the command
+    still runs with its own exit status, output fails as a write to a closed descriptor would,
+    and messages meant for a closed stderr are dropped."""
+
+    BADF = f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
+    CYCLE = "a < b\nb < a\n"
+
+    @pytest.fixture
+    def closed(self, run, monkeypatch):
+        def runner(streams, *argv, files=None):
+            with monkeypatch.context() as patch:
+                for stream in streams.split():
+                    patch.setattr(sys, stream, None)
+                return run(*argv, files=files)
+
+        return runner
+
+    @pytest.mark.parametrize(
+        "argv, files, want",
+        [
+            (["linearize", "r"], {"r": CHAIN}, (2, "", BADF)),
+            (["enumerate", "--limit", "1", "r"], {"r": ANTICHAIN3}, (2, "", BADF)),
+            (["validate", "--auto-close", "r"], {"r": CYCLE}, (1, "", "error: antisymmetry violation: cycle a < b < a\n")),
+            (["linearize", "missing"], {}, (2, "", "error: cannot read missing: No such file or directory\n")),
+            (["enumerate", "--limit", "0", "r"], {"r": CHAIN}, (0, "", "note: enumeration truncated at limit 0\n")),
+            (["linearize", "r"], {"r": "---\n"}, (0, "", "")),
+        ],
+    )
+    def test_closed_stdout(self, closed, argv, files, want):
+        assert closed("stdout", *argv, files=files) == want
+
+    @pytest.mark.parametrize(
+        "argv, files, want",
+        [
+            (["enumerate", "--limit", "1", "r"], {"r": ANTICHAIN3}, (0, "a\nb\nc\n", "")),
+            (["validate", "--auto-close", "r"], {"r": CYCLE}, (1, "", "")),
+            (["linearize", "missing"], {}, (2, "", "")),
+        ],
+    )
+    def test_closed_stderr(self, closed, argv, files, want):
+        assert closed("stderr", *argv, files=files) == want
+
+    def test_closed_stderr_and_a_failed_write(self, tmp_path, closed):
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+        try:
+            with contextlib.redirect_stdout(_failing_stdout(fd, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))):
+                assert closed("stderr", "linearize", "r", files={"r": CHAIN}) == (2, "", "")
+        finally:
+            os.close(fd)
+
+    def test_both_closed(self, closed):
+        assert closed("stdout stderr", "linearize", "r", files={"r": CHAIN}) == (2, "", "")
+
+    @pytest.mark.parametrize(
+        "redirect, argv, code",
+        [(">&-", ["linearize", "r"], 2), ("2>&-", ["linearize", "missing"], 2)],
+    )
+    def test_closed_descriptor_in_a_child(self, tmp_path, redirect, argv, code):
+        (tmp_path / "r").write_text(CHAIN, encoding="utf-8")
+        words = [sys.executable, "-m", "ordext", *argv]
+        proc = subprocess.run(
+            " ".join(map(shlex.quote, words)) + " " + redirect, shell=True, cwd=tmp_path,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestStreamedOutput:

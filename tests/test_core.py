@@ -35,7 +35,7 @@ from ordext import (
     validate,
 )
 from ordext.cli import main
-from ordext.core import _close, _valid_tokens, bits
+from ordext.core import _close, _closure, _valid_tokens, bits
 
 from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset, scale_input
 from oracles import (
@@ -46,6 +46,7 @@ from oracles import (
     first_unclosed_triple,
     incomparable_by_double_loop,
     shortest_cycle_by_search,
+    stray_error,
     strict_order_axioms_hold,
     transitive_reduction,
 )
@@ -266,6 +267,69 @@ class TestPosetType:
 
     def test_equality_is_structural(self):
         assert validate(("a", "b"), [("a", "b")]) == validate(("a", "b"), [("a", "b")])
+
+
+def _raised(make, *args):
+    """The error `make(*args)` raises, or None."""
+    try:
+        make(*args)
+    except Exception as exc:
+        return exc
+    return None
+
+
+def _named(exc):
+    """An error's class, message and witness."""
+    return type(exc), str(exc), getattr(exc, "token", None), getattr(exc, "cycle", None)
+
+
+_ABC = ("a", "b", "c")
+# Endpoints: the ground, foreign strings (some malformed), non-strings and unhashable lists.
+_STRAY_STRINGS = ["a", "b", "c", "z", "x<y", "p q", "#c", ""]
+_ENDPOINTS = st.sampled_from(_STRAY_STRINGS + [None, 0, 7, b"a", ["a"], ["b", 1]])
+_RAW_PAIRS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_ABC), st.sampled_from(_ABC)),  # good pairs and self-loops
+        st.sampled_from(_ABC).map(lambda tok: (tok, tok)),
+        st.tuples(_ENDPOINTS, _ENDPOINTS),
+    ),
+    max_size=12,
+)
+
+
+class TestStrayRule:
+    """Every builder names the stray `oracles.stray_error` names, the least after reading every
+    pair, whatever the order of the pairs; a self-loop is a stray except where closing names it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_RAW_PAIRS)
+    def test_builders_name_the_least_stray(self, pairs):
+        want = stray_error(pairs, {tok: i for i, tok in enumerate(_ABC)})
+        for build in (Poset, validate, partial(validate, auto_close=True)):
+            got = _raised(build, _ABC, pairs)
+            if want is not None:
+                assert _named(got) == _named(want)
+            else:  # no stray, so no token error and no self-loop as a witness
+                assert not isinstance(got, (InvalidToken, UnknownElement))
+                assert not isinstance(got, AntisymmetryViolation) or len(got.cycle) > 2
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_RAW_PAIRS, st.lists(st.sampled_from(_STRAY_STRINGS), max_size=8))
+    def test_closing_names_an_unknown_endpoint_before_any_cycle(self, pairs, node_order):
+        want = stray_error(pairs, {tok: i for i, tok in enumerate(dict.fromkeys(node_order))}, loops=True)
+        got = _raised(_closure, pairs, node_order)
+        if want is not None:
+            assert _named(got) == _named(want)
+        else:
+            assert got is None or isinstance(got, ClosureCreatesReflexivePair)
+        # `transitive_closure` names a bad token first, so only an unknown endpoint is left.
+        got = _raised(transitive_closure, pairs, node_order)
+        if not _valid_tokens(tuple(tok for pair in pairs for tok in pair)):
+            assert isinstance(got, InvalidToken)
+        elif want is not None:
+            assert isinstance(want, UnknownElement) and _named(got) == _named(want)
+        else:
+            assert got is None or isinstance(got, ClosureCreatesReflexivePair)
 
 
 class TestClosure:
