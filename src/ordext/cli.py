@@ -8,8 +8,8 @@ files, bad usage, output that cannot be written (`error: cannot write
 output: ...`, say on a full disk) and running out of memory (`error: out
 of memory`).  A reader that closes the pipe early ends the run quietly
 with status 1; one path in `main` ends every failed write, also to a
-stdout closed before the run.  A closed stderr drops the messages, not
-the status.  Numbers,
+stdout closed before the run.  A stderr that is closed or refuses writes
+drops the messages, not the status.  Numbers,
 read or written, have no digit limit, `--tie-break seed:` included, and
 are read without touching interpreter state (`errors._integer`).
 Output is a pure function of the inputs: identical files, flags, and
@@ -147,8 +147,8 @@ def cmd_enumerate(args: argparse.Namespace) -> Iterable[str]:
     if args.output == "human":  # a blank line opens every order but the first
         texts = chain(islice(texts, 1), map("\n".__add__, texts))
     yield from texts
-    if next(walk, None) is not None and sys.stderr is not None:
-        sys.stderr.write(f"note: enumeration truncated at limit {limit}\n")
+    if next(walk, None) is not None:
+        _stderr(f"note: enumeration truncated at limit {limit}\n")
 
 
 def cmd_count(args: argparse.Namespace) -> Iterable[str]:
@@ -294,6 +294,15 @@ def build_parser(*names: str) -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr(text: str) -> None:
+    """Write `text` to stderr; one closed before the run (None) or refusing writes drops it."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+        except OSError:  # say a full device: the status alone tells
+            pass
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A command's own parser gives the same bytes as the full one, help and errors
@@ -324,8 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = 2, "out of memory"
     except (ParseError, OrderError) as exc:
         code, message = 2 if isinstance(exc, ParseError) else 1, exc
-    if sys.stderr is not None:  # None when stderr was closed before the run: the status alone tells
-        sys.stderr.write(f"error: {message}\n")
+    _stderr(f"error: {message}\n")
     return code
 
 

@@ -6,26 +6,24 @@ of ordered pairs over a ground sequence.  The ground keeps its input
 order and doubles as the default tie-break source.  A `Poset` stores the
 relation only as successor and predecessor bitmasks indexed by ground
 position, plus each position's covers (the transitive reduction, which
-linearization walks); its pairs are built on request.  One reach pass,
-`_reach`, gives successor masks and covers alike, fed rows decoded once:
-`_close` closes `pred` inside its plain Kahn queue, then runs the pass
-back along the queue's order, or, when the queue stops short, raises its
-caller's error class with a shortest cycle as witness before any
-successor mask changes; `Poset` runs it over a copy of the masks it
-verifies, which are closed exactly when the pass changes none, and
-`restrict` over the masks it keeps.  Closing and
-linearizing keep separate loops: `extension.linear_extension` ranks its
-frontier, which closing has no use for, and closing every seed-5
-benchmark relation file through that ranked loop was 12-18% slower
-(summed medians: `deps` 58.3 to 66.0 ms, `wide-exhaustive` 8.99 to
-10.63 ms).  The public constructors verify everything they are given;
+linearization walks); its pairs are built on request.  Raw pairs are read
+once, by `_masks`, which also lists each position's row (its distinct
+successors in input order) and rejects the least stray after reading
+them all; closing and verifying OR along those rows.  One reach pass,
+`_reach`, gives successor masks and covers alike: `_close` closes `pred`
+inside its plain Kahn queue, then runs the pass back along the queue's
+order, or, when the queue stops short, raises its caller's error class
+with a shortest cycle as witness before any successor mask changes;
+`Poset` runs it over a copy of the masks it verifies, which are closed
+exactly when the pass changes none, and `restrict` over the masks it
+keeps.  Closing and linearizing keep separate loops:
+`extension.linear_extension` ranks its frontier, which closing has no
+use for.  The public constructors verify everything they are given;
 results correct by construction are assembled by `_closed_poset` and
 `_linear_order` (a batch of orders by `_linear_orders`) without a
-second check.  Raw pairs are read only by `_masks`, which rejects the
-least stray after reading them all.  Tokens are checked as one
-batch by `_valid_tokens` and walked one by one only to name a witness.
-All values are immutable after construction and every operation is a
-pure function of its inputs.
+second check.  Tokens are checked as one batch by `_valid_tokens` and
+walked one by one only to name a witness.  All values are immutable
+after construction and every operation is a pure function of its inputs.
 """
 
 from collections import deque
@@ -151,12 +149,15 @@ def bits(mask: int) -> list[int]:
     return out[::-1]
 
 
-def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False) -> tuple[list[int], list[int]]:
-    """Successor and predecessor bitmasks of `pairs` over the positions in `index`, all read before the least
-    stray is rejected: the non-string with the least repr, else the least stray pair's first endpoint outside
-    `index`, else its self-loop, which `loops` lets through as a cycle for the closing routine to name."""
+def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False
+           ) -> tuple[list[int], list[int], list[list[int]]]:
+    """Successor and predecessor bitmasks of `pairs` over the positions in `index`, and each position's row:
+    the distinct positions above it, in input order.  All are read before the least stray is rejected: the
+    non-string with the least repr, else the least stray pair's first endpoint outside `index`, else its
+    self-loop, which `loops` lets through as a cycle for the closing routine to name."""
     succ = [0] * len(index)
     pred = [0] * len(index)
+    rows = [[] for _ in succ]
     stray = []
     for x, y in pairs:
         try:
@@ -166,6 +167,7 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False) ->
             continue
         succ[i] |= 1 << j
         pred[j] |= 1 << i
+        rows[i].append(j)
         if i == j and not loops:
             stray.append((x, y))
     if stray:
@@ -177,7 +179,8 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False) ->
             if tok not in index:
                 raise UnknownElement(tok)
         raise AntisymmetryViolation((x, x))
-    return succ, pred
+    # A repeated pair keeps only its first entry: Kahn's in-degrees are the `pred` popcounts.
+    return succ, pred, [row if len(row) == mask.bit_count() else [*dict.fromkeys(row)] for row, mask in zip(rows, succ)]
 
 
 def _reach(succ: list[int], order: Iterable[int], rows: Iterable[Iterable[int]]) -> list[int]:
@@ -217,12 +220,12 @@ class Poset(_Record):
     def __post_init__(self, ground: Iterable[str], relation: Iterable[Pair]):
         object.__setattr__(self, "ground", check_ground(ground))
         g = self.ground
-        succ, pred = _masks(relation, self.ground_index)
+        succ, pred, rows = _masks(relation, self.ground_index)
         for i, mask in enumerate(succ):
             if both := mask & pred[i]:
                 raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
         reached = succ.copy()
-        cover = _reach(reached, range(len(g)), map(bits, succ))
+        cover = _reach(reached, range(len(g)), rows)
         if reached != succ:  # not closed: name the first missing pair's triple
             for i, mask in enumerate(succ):
                 for j in bits(mask):
@@ -347,12 +350,12 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[in
     return [nodes[i] for i in best]
 
 
-def _close(nodes: Sequence[str], succ: list[int], pred: list[int], cycle: type, starts: Iterable[int]) -> Poset:
+def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[list[int]], cycle: type,
+           starts: Iterable[int]) -> Poset:
     """The poset of the reachability closure, or `cycle` raised on a shortest cycle from `starts`, found
     before any successor mask changes.  A node joins the plain queue once its last predecessor has, so
     `pred[i]` is closed when `i` is dequeued and ORed into its successors' there; `succ` is then closed
-    in place back along the queue's topological order, each input row decoded once."""
-    rows = list(map(bits, succ))
+    in place back along the queue's topological order; `rows` are `succ`'s, as `_masks` lists them."""
     order = [i for i, mask in enumerate(pred) if not mask]
     indegree = [mask.bit_count() for mask in pred]
     for i in order:
@@ -383,8 +386,8 @@ def _closure(pairs: Sequence[Pair], node_order: Iterable[str] | None) -> Poset:
     last = {tok: i for i, tok in enumerate(node_order)}
     nodes = sorted(last, key=last.__getitem__)
     index = {tok: i for i, tok in enumerate(nodes)}
-    succ, pred = _masks(pairs, index, loops=True)  # a self-loop is a cycle here, named like any other
-    return _close(nodes, succ, pred, ClosureCreatesReflexivePair, map(index.get, node_order))
+    succ, pred, rows = _masks(pairs, index, loops=True)  # a self-loop is a cycle here, named like any other
+    return _close(nodes, succ, pred, rows, ClosureCreatesReflexivePair, map(index.get, node_order))
 
 
 def transitive_closure(

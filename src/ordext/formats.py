@@ -20,6 +20,7 @@ token or malformed line, a line's structure before its tokens.
 """
 
 from itertools import chain, compress, count, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import Pair, Poset, _valid_tokens, bits, check_token
@@ -82,10 +83,12 @@ def parse_relation(text: str, path: str | None = None) -> tuple[tuple[str, ...],
     lines = _lines(text)
     cut = lines.index("---") if "---" in lines else -1  # -1: no header, every line a pair
     ground, body = tuple(lines[: max(cut, 0)]), lines[cut + 1 :]
-    lefts, angles, rights = tuple(zip(*map(str.partition, body, repeat("<")))) or ((), (), ())
-    pairs = list(zip(map(str.strip, lefts), map(str.strip, rights)))
+    parts = list(map(str.partition, body, repeat("<")))
+    rights = list(map(itemgetter(2), parts))
+    pairs = list(zip(map(str.strip, map(itemgetter(0), parts)), map(str.strip, rights)))
     tokens = (*ground, *chain.from_iterable(pairs))
-    if "" in angles or "<" in "".join(rights) or not _valid_tokens(tokens):  # a second `---` has no `<`
+    # A line with no `<`, a second `---` among them, fails the first test.
+    if "" in map(itemgetter(1), parts) or "<" in "".join(rights) or not _valid_tokens(tokens):
         # The error path: a second `---`, then a bad header line, then the body line by line.
         lines = _numbered(text)
         cuts = [k for k, (_, line) in enumerate(lines) if line == "---"]

@@ -648,7 +648,7 @@ class TestWriteFailure:
 class TestClosedStreams:
     """A descriptor closed before the run leaves `sys.stdout` or `sys.stderr` None: the command
     still runs with its own exit status, output fails as a write to a closed descriptor would,
-    and messages meant for a closed stderr are dropped."""
+    and messages meant for a closed stderr, or one that refuses writes, are dropped."""
 
     BADF = f"error: cannot write output: {os.strerror(errno.EBADF)}\n"
     CYCLE = "a < b\nb < a\n"
@@ -712,6 +712,22 @@ class TestClosedStreams:
         )
         assert proc.returncode == code
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [(["linearize", "missing"], 2, ""), (["enumerate", "--limit", "1", "r"], 0, "a\nb\nc\n")],
+    )
+    def test_stderr_that_refuses_writes(self, tmp_path, argv, code, out):
+        # An open stderr on a full device drops its message as a closed one does; a traceback
+        # would end the run with status 1.
+        (tmp_path / "r").write_text(ANTICHAIN3, encoding="utf-8")
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ordext", *argv], cwd=tmp_path, stdout=subprocess.PIPE, stderr=full,
+                text=True, timeout=60,
+            )
+        assert (proc.returncode, proc.stdout) == (code, out)
 
 
 class TestStreamedOutput:

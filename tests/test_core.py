@@ -35,7 +35,7 @@ from ordext import (
     validate,
 )
 from ordext.cli import main
-from ordext.core import _close, _closure, _valid_tokens, bits
+from ordext.core import _close, _closure, _masks, _valid_tokens, bits
 
 from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset, scale_input
 from oracles import (
@@ -418,22 +418,25 @@ class TestClosure:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.integers(1, 30), st.floats(0, 0.3), st.integers(0, 2**32))
     def test_cycle_witness_matches_a_search_of_every_node(self, n, density, seed):
-        # Random digraphs with self-loops among the edges and at least one cycle; the starts
-        # are the nodes shuffled, some repeated, as `node_order` may give them.
+        # Random digraphs with self-loops among the edges and at least one cycle, read by `_masks`
+        # in shuffled order with some edges repeated; the starts are the nodes shuffled, some
+        # repeated, as `node_order` may give them.
         rng = random.Random(seed)
         nodes = [f"v{i}" for i in range(n)]
-        succ, pred = [0] * n, [0] * n
         edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
         loop = rng.sample(range(n), rng.randint(1, n))
         edges += zip(loop, loop[1:] + loop[:1])
+        edges += rng.choices(edges, k=rng.randrange(len(edges) + 1))
+        rng.shuffle(edges)
+        succ = [0] * n
         for i, j in edges:
             succ[i] |= 1 << j
-            pred[j] |= 1 << i
         starts = rng.sample(range(n), n) + rng.choices(range(n), k=rng.randrange(3))
         rng.shuffle(starts)
         want = shortest_cycle_by_search(nodes, succ, starts)
+        read = _masks([(nodes[i], nodes[j]) for i, j in edges], {tok: i for i, tok in enumerate(nodes)}, loops=True)
         with pytest.raises(ClosureCreatesReflexivePair) as info:
-            _close(nodes, succ.copy(), pred.copy(), ClosureCreatesReflexivePair, starts)
+            _close(nodes, *read, ClosureCreatesReflexivePair, starts)
         assert list(info.value.cycle) == want
 
 
@@ -692,6 +695,44 @@ class TestClosedPosetsMatchVerifiedOnes:
         assert transitive_closure(pairs, ground) == poset.relation
         if n <= 30:
             assert set(poset.relation) == closure_fixpoint(pairs)
+
+
+class TestIntake:
+    """`_masks` reads each pair once and hands its rows, repeats dropped, to closing and verifying:
+    shuffled pairs with repeats must give one set of masks and covers however they are built, and
+    a cycle (a back edge, or a self-loop where closing lets one through) its shortest witness."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(1, 30), st.floats(0, 0.6), st.integers(0, 2**32))
+    def test_shuffled_and_repeated_pairs(self, n, density, seed):
+        rng = random.Random(seed)
+        ground, pairs = random_pairs(rng, n, density)
+
+        def scrambled(pairs):
+            out = pairs + rng.choices(pairs, k=rng.randrange(len(pairs) + 1))
+            rng.shuffle(out)
+            return out
+
+        raw, closed = scrambled(pairs), sorted(closure_fixpoint(pairs))
+        built = [validate(ground, raw, auto_close=True), Poset(ground, scrambled(closed)), _closure(raw, ground)]
+        assert len({(poset.ground, poset.succ, poset.pred, poset._cover) for poset in built}) == 1
+        assert transitive_closure(raw, ground) == built[0].relation == frozenset(closed)
+        loops = [(x, x) for x in rng.sample(ground, rng.randint(0, min(n, 2)))]
+        back = [(y, x) for x, y in rng.sample(closed, min(len(closed), rng.randint(0 if loops else 1, 2)))]
+        if not loops + back:
+            return
+        cyclic = scrambled(raw + loops + back)
+        index = {tok: i for i, tok in enumerate(ground)}
+        succ = [0] * n
+        for x, y in cyclic:
+            succ[index[x]] |= 1 << index[y]
+        with pytest.raises(ClosureCreatesReflexivePair) as closing:
+            transitive_closure(cyclic, ground)
+        assert list(closing.value.cycle) == shortest_cycle_by_search(ground, succ, range(n))
+        if not loops:  # validating rejects a self-loop as a stray, before any closing
+            with pytest.raises(AntisymmetryViolation) as validating:
+                validate(ground, cyclic, auto_close=True)
+            assert validating.value.cycle == closing.value.cycle
 
 
 class TestStoredForm:
