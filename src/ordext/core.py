@@ -15,8 +15,8 @@ inside its plain Kahn queue, then runs the pass back along the queue's
 order, or, when the queue stops short, raises its caller's error class
 with a shortest cycle as witness before any successor mask changes;
 `Poset` runs it over a copy of the masks it verifies, which are closed
-exactly when the pass changes none, and `restrict` over the masks it
-keeps.  Closing and linearizing keep separate loops:
+and antisymmetric exactly when the pass changes none, and `restrict`
+over the masks it keeps.  Closing and linearizing keep separate loops:
 `extension.linear_extension` ranks its frontier, which closing has no
 use for.  The public constructors verify everything they are given;
 results correct by construction are assembled by `_closed_poset` and
@@ -221,12 +221,12 @@ class Poset(_Record):
         object.__setattr__(self, "ground", check_ground(ground))
         g = self.ground
         succ, pred, rows = _masks(relation, self.ground_index)
-        for i, mask in enumerate(succ):
-            if both := mask & pred[i]:
-                raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
         reached = succ.copy()
         cover = _reach(reached, range(len(g)), rows)
-        if reached != succ:  # not closed: name the first missing pair's triple
+        if reached != succ:  # a 2-cycle, whose lower position reaches itself, or a missing pair: name the first
+            for i, mask in enumerate(succ):
+                if both := mask & pred[i]:
+                    raise AntisymmetryViolation((g[i], g[bits(both)[0]], g[i]))
             for i, mask in enumerate(succ):
                 for j in bits(mask):
                     if missing := succ[j] & ~mask:

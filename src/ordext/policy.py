@@ -37,7 +37,6 @@ as input order itself, so without a policy it never loads this module.
 import sys
 from itertools import chain
 from operator import mod
-from typing import Sequence
 
 from .core import _Record
 from .errors import _integer
@@ -203,16 +202,6 @@ class TieBreaker:
             for i, j in zip(range(k - 1, 0, -1), map(mod, self._rng.draws(k - 1), range(k, 1, -1))):
                 items[i], items[j] = items[j], items[i]
         return items
-
-    def pick(self, items: Sequence[str]) -> str:
-        """The element `arrange(items)` would put first, found without arranging.
-
-        Input order takes the first item, lexicographic the least, and
-        seeded the item at :meth:`_first`.
-        """
-        if self.policy.kind == "lexicographic":
-            return min(items)
-        return items[self._first(len(items)) if self.policy.kind == "seeded" else 0]
 
     def _first(self, k: int) -> int:
         """The position the seeded shuffle of k candidates puts first, found by
