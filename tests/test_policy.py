@@ -8,7 +8,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordext import TieBreakPolicy
+from ordext import TieBreakPolicy, linear_extension, validate
 from ordext.policy import _BLOCK, _IN_ORDER, _SplitMix64, _layout
 
 from oracles import reference_draws, reference_shuffle, reference_stream
@@ -167,6 +167,14 @@ class TestArrange:
             got = TieBreakPolicy.seeded(rng.getrandbits(64)).start().arrange(items)
             assert sorted(got) == sorted(items)
 
+    def test_pick_is_first_of_arrangement(self):
+        # The element `linear_extension` places first among incomparable ones is the first
+        # element of a fresh breaker's arrangement of the ground, for every kind.
+        items = [f"t{i}" for i in range(30, 0, -1)]
+        poset = validate(items, [])
+        for policy in (TieBreakPolicy.input_order(), TieBreakPolicy.lexicographic(), TieBreakPolicy.seeded(3)):
+            assert linear_extension(poset, policy).sequence[0] == policy.start().arrange(items)[0]
+
     def test_arrange_does_not_mutate_input(self):
         items = ["c", "a", "b"]
         TieBreakPolicy.seeded(3).start().arrange(items)
@@ -174,7 +182,8 @@ class TestArrange:
 
 
 class TestPick:
-    """The seeded pick: `_first` names the position the reference shuffle puts first."""
+    """The pick among incomparable elements: `_first` names the position the reference
+    shuffle puts first, and `linear_extension` takes the least rank for the plain kinds."""
 
     def test_seeded_is_first_of_reference_shuffle(self):
         rng = random.Random(13)
@@ -188,6 +197,26 @@ class TestPick:
                 assert items[breaker._first(len(items))] == reference_shuffle(items, stream)[0]
                 # The next call reads on from draw k - 1: the choice spent exactly k - 1 draws.
                 assert breaker.arrange("abcdef") == reference_shuffle("abcdef", stream[k - 1:])
+
+    def test_plain_kinds(self):
+        # Among incomparable elements, `linear_extension` places first the least token under
+        # lexicographic order and the first in the ground under input order.
+        rng = random.Random(17)
+        for _ in range(50):
+            items = rng.sample([f"t{i}" for i in range(100)], rng.randrange(1, 20))
+            poset = validate(items, [])
+            assert linear_extension(poset, TieBreakPolicy.lexicographic()).sequence[0] == min(items)
+            assert linear_extension(poset, TieBreakPolicy.input_order()).sequence[0] == items[0]
+
+    @pytest.mark.parametrize("policy", [
+        TieBreakPolicy.input_order(), TieBreakPolicy.lexicographic(), TieBreakPolicy.seeded(9),
+    ])
+    def test_pick_does_not_mutate_input(self, policy):
+        items = [f"t{i}" for i in range(30, 0, -1)]
+        before = list(items)
+        policy.start().arrange(items)
+        linear_extension(validate(items, []), policy)
+        assert items == before
 
 
 class TestOneStream:
