@@ -69,7 +69,7 @@ ENV_ENUM_LIMIT = "ORDEXT_ENUM_LIMIT"
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")  # a byte-order mark is not part of the first token
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
@@ -271,9 +271,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """With stderr closed, a usage error writes nothing, where argparse would print the usage to stdout."""
+
+    def error(self, message: str):
+        if sys.stderr is None:
+            self.exit(2)
+        super().error(message)
+
+
 def build_parser(*names: str) -> argparse.ArgumentParser:
     """The parser with a subparser for each named command, or for every command when none is named."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordext",
         description="Finite partial orders: validation, linear extension, "
         "and structured total-order constructions.",

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable
 
-from .core import LinearOrder, _linear_order, _Record, _valid_tokens, check_ground, check_token
+from .core import LinearOrder, _linear_orders, _Record, _valid_tokens, check_ground, check_token
 from .errors import (
     DuplicateElement,
     EmptyBlock,
@@ -138,7 +138,7 @@ def bipartition_order(
             raise NotDisjoint(tok, "A and B")
     taken = set(a_seg) | b_set
     middle = [tok for tok in seq if tok not in taken]
-    return _linear_order(_layout(policy, (a_seg, middle, b_seg)))
+    return _linear_orders([_layout(policy, (a_seg, middle, b_seg))])[0]
 
 
 def partition_block_order(
@@ -158,7 +158,7 @@ def partition_block_order(
     blocks = [_in_ground_order(block, gi) for block in partition.blocks]
     placed = partition.members()
     leftover = [tok for tok in seq if tok not in placed]
-    return _linear_order(_layout(policy, blocks + [leftover]))
+    return _linear_orders([_layout(policy, blocks + [leftover])])[0]
 
 
 def dense_interleave(
@@ -194,7 +194,7 @@ def dense_interleave(
     for y in ys:
         if y not in mapping:
             raise NotBijective(f"no image for {y!r}", y)
-    return _linear_order(tuple(tok for y in _layout(policy, [ys]) for tok in (y, mapping[y])))
+    return _linear_orders([tuple(tok for y in _layout(policy, [ys]) for tok in (y, mapping[y]))])[0]
 
 
 def is_dense(

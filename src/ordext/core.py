@@ -20,10 +20,10 @@ over the masks it keeps.  Closing and linearizing keep separate loops:
 `extension.linear_extension` ranks its frontier, which closing has no
 use for.  The public constructors verify everything they are given;
 results correct by construction are assembled by `_closed_poset` and
-`_linear_order` (a batch of orders by `_linear_orders`) without a
-second check.  Tokens are checked as one batch by `_valid_tokens` and
-walked one by one only to name a witness.  All values are immutable
-after construction and every operation is a pure function of its inputs.
+`_linear_orders` (one order or a batch) without a second check.  Tokens
+are checked as one batch by `_valid_tokens` and walked one by one only
+to name a witness.  All values are immutable after construction and
+every operation is a pure function of its inputs.
 """
 
 from collections import deque
@@ -52,7 +52,7 @@ class _Record:
     """Base of the frozen value types: `==` and `hash` over the values of `_fields`
     (for the same class only), a repr that names them, and no assignment or deletion
     of any attribute, raising `dataclasses.FrozenInstanceError` as a frozen dataclass
-    does.  Constructors store their values in the instance dict directly."""
+    does.  Constructors store their values directly, past `__setattr__`."""
 
     _fields: tuple[str, ...] = ()
 
@@ -263,7 +263,7 @@ class LinearOrder(_Record):
     sequence: tuple[str, ...]
 
     def __init__(self, sequence: tuple[str, ...]):
-        vars(self).update(sequence=check_ground(sequence))
+        object.__setattr__(self, "sequence", check_ground(sequence))
 
     @cached_property
     def positions(self) -> dict[str, int]:
@@ -292,16 +292,9 @@ class LinearOrder(_Record):
         return len(self.sequence)
 
 
-def _linear_order(sequence: tuple[str, ...]) -> LinearOrder:
-    """The order of a tuple of distinct, checked tokens, taken without verification."""
-    order = object.__new__(LinearOrder)
-    object.__setattr__(order, "sequence", sequence)
-    return order
-
-
 def _linear_orders(sequences: list[tuple[str, ...]]) -> tuple[LinearOrder, ...]:
-    """The orders of `sequences`, each as :func:`_linear_order` builds it, made and filled in C:
-    no Python frame runs per order, and the fill is drained by a zero-length `deque`."""
+    """The orders of `sequences`, tuples of distinct checked tokens, laid out as `LinearOrder`'s own but not
+    verified: made and filled in C, with no Python frame per order, the fill drained by a zero-length `deque`."""
     orders = tuple(map(object.__new__, repeat(LinearOrder, len(sequences))))
     deque(map(object.__setattr__, orders, repeat("sequence"), sequences), maxlen=0)
     return orders

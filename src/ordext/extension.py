@@ -20,9 +20,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterator
 
 from .core import DEFAULT_COUNT_CAP, DEFAULT_ENUM_LIMIT  # noqa: F401  (public names of this module too)
-from .core import (
-    LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_order, _linear_orders, bits, check_token,
-)
+from .core import LinearOrder, Pair, Poset, _closed_poset, _Record, _linear_orders, bits, check_token
 from .errors import CapExceeded, NotIncomparable, _decimal
 
 if TYPE_CHECKING:  # a policy given is already loaded, and without one none is needed
@@ -149,12 +147,14 @@ def linear_extension(
         r = frontier.pop() if first is None else frontier.pop(-1 - first(len(frontier)))
         i = ranked[-r]
         out.append(g[i])
-        if cover[i]:  # a position with no covers above it is below nothing, so `placed` skips it
-            placed |= 1 << i
-            for j in reversed(bits(cover[i])):  # in input order these ranks mostly append
-                if pred[j] & placed == pred[j]:
-                    insort(frontier, -rank[j])
-    return _linear_order(tuple(out))
+        placed |= 1 << i
+        above = cover[i]
+        while above:  # its covers, top first: in input order these ranks mostly append
+            j = above.bit_length() - 1
+            above ^= 1 << j
+            if pred[j] & placed == pred[j]:
+                insort(frontier, -rank[j])
+    return _linear_orders([tuple(out)])[0]
 
 
 def szpilrajn(

@@ -12,6 +12,7 @@ names every case of BASE.json (an older corpus.json) that corpus.json
 drops or records with another digest, and exits 1 if there is any, so a
 change may add cases but never rewrite one.  Re-record only for a
 deliberate change in behaviour, and name that change in CHANGES.md.
+Any other arguments print a usage line and exit 2, writing nothing.
 
 A CLI case runs `ordext.cli.main` in-process from a temporary directory
 that holds its files under relative names, and its bytes are the exit
@@ -56,7 +57,7 @@ from ordext import (
     transitive_closure,
     validate,
 )
-from ordext.cli import ENV_ENUM_LIMIT, main
+from ordext.cli import ENV_ENUM_LIMIT, main as cli_main
 
 DIGESTS = Path(__file__).resolve().parent / "corpus.json"
 
@@ -617,7 +618,7 @@ def _cli(argv: list[str], files: dict[str, bytes], env: dict[str, str], root: Pa
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            code = cli_main(argv)
     finally:
         for key, value in saved.items():
             if value is None:
@@ -679,8 +680,17 @@ def kept(base: Path) -> int:
     return 1 if lost else 0
 
 
+def main(argv: list[str]) -> int:
+    """The exit status of the run that `argv`, the arguments after the script's name, asks for."""
+    if not argv:
+        return record()
+    if argv == ["--check"]:
+        return check()
+    if argv[:1] == ["--kept"] and len(argv) == 2:
+        return kept(Path(argv[1]))
+    print("usage: corpus.py [--check | --kept BASE.json]", file=sys.stderr)
+    return 2
+
+
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    if args[:1] == ["--kept"] and len(args) == 2:
-        sys.exit(kept(Path(args[1])))
-    sys.exit(check() if args == ["--check"] else record())
+    sys.exit(main(sys.argv[1:]))

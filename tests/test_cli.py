@@ -116,6 +116,19 @@ class TestValidate:
         assert ":1:" in err
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same file without it."""
+
+    def test_relation_file(self, run):
+        assert run("linearize", "r", files={"r": "\ufeffa < b\nb < a\n"}) == (
+            1, "", "error: antisymmetry violation: cycle a < b < a\n"
+        )
+
+    def test_sequence_file(self, run):
+        files = {"g": "\ufeffa\nb\nc\n", "A": "\ufeffa\n", "B": "b\n"}
+        assert run("bipartition", "g", "A", "B", files=files) == (0, "a\nc\nb\n", "")
+
+
 class TestClosure:
     def test_closes(self, run):
         code, out, _ = run("closure", "r", files={"r": CHAIN})
@@ -695,6 +708,18 @@ class TestClosedStreams:
                 assert closed("stderr", "linearize", "r", files={"r": CHAIN}) == (2, "", "")
         finally:
             os.close(fd)
+
+    @pytest.mark.parametrize("argv", [["linearize"], ["linearize", "--tie-break", "bogus", "r"]])
+    def test_usage_error_with_stderr_closed(self, closed, argv):
+        # argparse would print the usage to stdout when it finds stderr closed
+        assert closed("stderr", *argv) == (2, "", "")
+
+    def test_help_with_stderr_closed(self, closed, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["linearize", "--help"])
+        help_text = capsys.readouterr().out
+        assert closed("stderr", "linearize", "--help") == (0, help_text, "")
 
     def test_both_closed(self, closed):
         assert closed("stdout stderr", "linearize", "r", files={"r": CHAIN}) == (2, "", "")

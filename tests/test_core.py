@@ -1,6 +1,7 @@
 """Core types and operations: validation, closure, restriction, queries."""
 
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import partial
 from itertools import combinations, permutations
@@ -35,7 +36,7 @@ from ordext import (
     validate,
 )
 from ordext.cli import main
-from ordext.core import _close, _closure, _masks, _valid_tokens, bits
+from ordext.core import _close, _closure, _linear_orders, _masks, _valid_tokens, bits
 
 from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset, scale_input
 from oracles import (
@@ -864,6 +865,23 @@ class TestLinearOrderType:
     def test_duplicate_sequence_rejected(self):
         with pytest.raises(DuplicateElement):
             LinearOrder(("a", "b", "a"))
+
+    def test_public_orders_weigh_what_batch_built_ones_do(self):
+        # Both store `sequence` past `__setattr__`, so on CPython 3.11 and later neither order
+        # builds an instance dict; writing through `vars()` would build one per order.
+        sequences = [tuple(f"{k}x{i}" for k in range(5)) for i in range(1000)]
+
+        def weight(build):
+            build(sequences[:1])  # warmed up: one-time allocations are not counted
+            tracemalloc.start()
+            try:
+                orders = build(sequences)
+                return tracemalloc.get_traced_memory()[0]  # read while `orders` holds them
+            finally:
+                tracemalloc.stop()
+
+        public = weight(lambda seqs: tuple(map(LinearOrder, seqs)))
+        assert public <= 1.1 * weight(_linear_orders)
 
 
 class TestErrorWitness:

@@ -90,3 +90,19 @@ def test_kept_fails_when_a_base_digest_is_changed_or_dropped(tmp_path, capsys):
         base.write_text(json.dumps(table), encoding="utf-8")
         assert corpus.kept(base) == status, name
     assert capsys.readouterr().err.count("changed or dropped") == len(bases)
+
+
+def test_an_unknown_argument_writes_nothing(tmp_path, monkeypatch, capsys):
+    recorded = corpus.DIGESTS.read_bytes()
+    copy = tmp_path / "corpus.json"
+    copy.write_bytes(recorded)
+    monkeypatch.setattr(corpus, "DIGESTS", copy)
+
+    def refuse(selected):
+        raise AssertionError("the corpus was run")
+
+    monkeypatch.setattr(corpus, "outputs", refuse)
+    for argv in (["--chek"], ["--kept"], ["-h"], ["--check", "--kept"]):
+        assert corpus.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("usage: corpus.py"), argv
+    assert copy.read_bytes() == recorded

@@ -28,7 +28,7 @@ from ordext import (
     transitive_closure,
     validate,
 )
-from ordext.core import _linear_order, bits
+from ordext.core import bits
 from ordext.errors import _decimal, _integer
 from ordext.extension import _extensions
 
@@ -335,14 +335,14 @@ class TestWalkMatchesTheStepwiseWalk:
 
 
 class TestEnumeratedOrdersMatchVerifiedOnes:
-    """The orders an enumeration builds in one batch are laid out as `_linear_order` lays out one."""
+    """The orders an enumeration builds in one batch are laid out as `LinearOrder` lays out one."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(st.integers(0, 7), st.floats(0, 0.5), st.integers(0, 2**32))
     def test_enumerate(self, n, density, seed):
         for order in enumerate_linear_extensions(random_poset(random.Random(seed), n, density)):
             assert type(order) is LinearOrder
-            assert vars(order) == vars(_linear_order(order.sequence))
+            assert vars(order) == vars(LinearOrder(order.sequence))
             assert_order_matches_verified(order)
 
 
