@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable
 
-from .core import LinearOrder, _linear_orders, _Record, _valid_tokens, check_ground, check_token
+from .core import LinearOrder, _linear_orders, _look_up, _Record, _valid_tokens, check_ground, check_token
 from .errors import (
     DuplicateElement,
     EmptyBlock,
@@ -92,18 +92,15 @@ class Bijection(_Record):
         return dict(self.pairs)
 
     def __call__(self, token: str) -> str:
-        try:
-            return self.as_dict[token]
-        except KeyError:
-            raise UnknownElement(token) from None
+        return _look_up(self.as_dict, token)
 
 
 def _in_ground_order(seq: tuple[str, ...], ground_index: dict[str, int]) -> list[str]:
-    """Checked tokens sorted by ground position; the first one outside the ground is unknown."""
-    for tok in seq:
-        if tok not in ground_index:
-            raise UnknownElement(tok)
-    return sorted(seq, key=ground_index.__getitem__)
+    """Checked tokens sorted by ground position; `sorted` keys them in order, so the first unknown is named."""
+    try:
+        return sorted(seq, key=ground_index.__getitem__)
+    except KeyError as missing:
+        raise UnknownElement(missing.args[0]) from None
 
 
 def _subset_in_ground_order(

@@ -197,6 +197,14 @@ def _reach(succ: list[int], order: Iterable[int], rows: Iterable[Iterable[int]])
     return cover
 
 
+def _look_up(table: dict, token: str):
+    """`table[token]`, or :class:`UnknownElement` for a token that `table` lacks."""
+    try:
+        return table[token]
+    except KeyError:
+        raise UnknownElement(token) from None
+
+
 class Poset(_Record):
     """A ground sequence plus a strict, antisymmetric, transitively closed relation.
 
@@ -238,10 +246,7 @@ class Poset(_Record):
         return {tok: i for i, tok in enumerate(self.ground)}
 
     def index(self, token: str) -> int:
-        try:
-            return self.ground_index[token]
-        except KeyError:
-            raise UnknownElement(token) from None
+        return _look_up(self.ground_index, token)
 
     def sorted_pairs(self) -> list[Pair]:
         """Relation pairs ordered by ground position; the canonical serialization order."""
@@ -270,10 +275,7 @@ class LinearOrder(_Record):
         return {tok: i for i, tok in enumerate(self.sequence)}
 
     def position(self, token: str) -> int:
-        try:
-            return self.positions[token]
-        except KeyError:
-            raise UnknownElement(token) from None
+        return _look_up(self.positions, token)
 
     def before(self, x: str, y: str) -> bool:
         """True when x strictly precedes y."""
@@ -375,9 +377,7 @@ def _closed_poset(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int]
 def _closure(pairs: Sequence[Pair], node_order: Iterable[str] | None) -> Poset:
     """The closed poset of `pairs`, whose tokens are checked, over `node_order` (default: lexicographic)."""
     node_order = tuple(sorted({tok for pair in pairs for tok in pair}) if node_order is None else node_order)
-    # A repeated node takes its last position, which orders its neighbours.
-    last = {tok: i for i, tok in enumerate(node_order)}
-    nodes = sorted(last, key=last.__getitem__)
+    nodes = [*dict.fromkeys(reversed(node_order))][::-1]  # a repeated node takes its last position
     index = {tok: i for i, tok in enumerate(nodes)}
     succ, pred, rows = _masks(pairs, index, loops=True)  # a self-loop is a cycle here, named like any other
     return _close(nodes, succ, pred, rows, ClosureCreatesReflexivePair, map(index.get, node_order))

@@ -11,6 +11,8 @@ are read by `_integer` and written by `_decimal`, neither touching the
 interpreter's cap on the digits of an int (`sys.set_int_max_str_digits`).
 """
 
+import copyreg
+
 _SHORT = 10**640  # below it, `str` is within the least digit cap the interpreter accepts
 
 
@@ -46,6 +48,10 @@ class OrderError(Exception):
     def __init__(self, *args: object, **witness: object):
         super().__init__(*args)
         vars(self).update(witness)
+
+    def __reduce__(self):
+        """For `pickle` and `copy`: rebuilt from `args` and the witness, not by the subclass's constructor."""
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 class ParseError(Exception):

@@ -90,14 +90,12 @@ def parse_relation(text: str, path: str | None = None) -> tuple[tuple[str, ...],
     # A line with no `<`, a second `---` among them, fails the first test.
     if "" in map(itemgetter(1), parts) or "<" in "".join(rights) or not _valid_tokens(tokens):
         # The error path: a second `---`, then a bad header line, then the body line by line.
-        lines = _numbered(text)
-        cuts = [k for k, (_, line) in enumerate(lines) if line == "---"]
-        if len(cuts) > 1:
-            raise ParseError("more than one '---' separator", path, lines[cuts[1]][0])
-        header, body = (lines[: cuts[0]], lines[cuts[0] + 1 :]) if cuts else ([], lines)
-        if not _valid_tokens(ground):
-            _walk(header, path, _one_token)
-        _walk(body, path, _pair)
+        numbered = _numbered(text)  # one entry per item of `lines`, so `cut` splits both alike
+        if "---" in body:
+            raise ParseError("more than one '---' separator", path, numbered[cut + 1 + body.index("---")][0])
+        if not _valid_tokens(ground):  # also keeps a file with no header (cut -1) from walking numbered[:-1]
+            _walk(numbered[:cut], path, _one_token)
+        _walk(numbered[cut + 1 :], path, _pair)
     return ground + tuple(dict.fromkeys(tokens))[len(set(ground)) :], pairs
 
 

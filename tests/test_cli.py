@@ -148,6 +148,8 @@ class TestClosure:
             # A cycle is reported before a repeated header element.
             ("a\nb\na\n---\na < b\nb < a\n", "closure would create a reflexive pair: cycle a < b < a"),
             ("a\nb\na\n---\na < b\n", "duplicate element 'a'"),
+            # A repeated header element takes its last position: c then comes before b.
+            ("a\nb\nc\nb\n---\na < b\nb < a\na < c\nc < a\n", "closure would create a reflexive pair: cycle a < c < a"),
         ],
     )
     def test_error_bytes(self, run, text, message):

@@ -127,8 +127,10 @@ class TestBipartition:
             bipartition_order(("1", "2"), ("1",), ())
 
     def test_unknown_member(self):
-        with pytest.raises(UnknownElement):
-            bipartition_order(("1", "2"), ("9",), ("2",))
+        # The first unknown member in the subset's own order is named.
+        with pytest.raises(UnknownElement) as info:
+            bipartition_order(("1", "2", "3"), ("1", "9", "8"), ("2",))
+        assert info.value.token == "9"
 
     def test_subset_file_order_does_not_matter(self):
         base = bipartition_order(("1", "2", "3", "4"), ("1", "2"), ("3", "4"))
@@ -189,8 +191,9 @@ class TestBlockOrder:
         assert order.sequence == ("a", "b", "c", "d")
 
     def test_unknown_member(self):
-        with pytest.raises(UnknownElement):
-            partition_block_order(("a", "b"), Partition((("z",),)))
+        with pytest.raises(UnknownElement) as info:
+            partition_block_order(("a", "b"), Partition((("a",), ("b", "z", "y"))))
+        assert info.value.token == "z"
 
     def test_empty_partition_keeps_ground(self):
         order = partition_block_order(("b", "a"), Partition(()))

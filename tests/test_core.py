@@ -1,5 +1,7 @@
 """Core types and operations: validation, closure, restriction, queries."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -401,11 +403,14 @@ class TestClosure:
             transitive_closure([("a", 7), 5])
 
     def test_node_order_picks_the_cycle_witness(self):
-        # Starts follow node_order, repeats included; the first shortest cycle wins.
-        pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")]
-        for node_order, cycle in (
-            (("e", "a", "b", "c", "d", "e"), ("e", "d", "e")),
-            (("a", "b", "c", "d", "e"), ("d", "e", "d")),
+        # Starts follow node_order, repeats included; the first shortest cycle wins.  A repeated
+        # node takes its last position, which orders the neighbours a search from "a" meets first.
+        three = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d")]
+        two = [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")]
+        for pairs, node_order, cycle in (
+            (three, ("e", "a", "b", "c", "d", "e"), ("e", "d", "e")),
+            (three, ("a", "b", "c", "d", "e"), ("d", "e", "d")),
+            (two, ("a", "b", "c", "b"), ("a", "c", "a")),
         ):
             with pytest.raises(ClosureCreatesReflexivePair) as info:
                 transitive_closure(pairs, node_order=node_order)
@@ -884,14 +889,10 @@ class TestLinearOrderType:
         assert public <= 1.1 * weight(_linear_orders)
 
 
-class TestErrorWitness:
-    """`OrderError` keeps the witness keywords its subclasses hand it, as attributes and nothing else."""
-
-    def test_base_keeps_keywords(self):
-        exc = errors.OrderError("message", token="a", cycle=("a", "a"))
-        assert (str(exc), exc.args, vars(exc)) == ("message", ("message",), {"token": "a", "cycle": ("a", "a")})
-
-    @pytest.mark.parametrize("cls, args, witness", [
+def _witnesses() -> list:
+    """Each subclass of `OrderError`: its name, constructor arguments and witness attributes.  A
+    fresh list on each call, as one of the arguments is an iterator."""
+    return [
         ("InvalidToken", (5, "not a string"), {"token": 5, "reason": "not a string"}),
         ("DuplicateElement", ("a",), {"token": "a"}),
         ("UnknownElement", ("a",), {"token": "a"}),
@@ -905,9 +906,30 @@ class TestErrorWitness:
         ("EmptyBlock", (2,), {"index": 2}),
         ("NotBijective", ("not onto",), {"reason": "not onto", "token": None}),
         ("CapExceeded", (21, 20), {"size": 21, "cap": 20}),
-    ])
+    ]
+
+
+class TestErrorWitness:
+    """`OrderError` keeps the witness keywords its subclasses hand it, as attributes and nothing else."""
+
+    def test_base_keeps_keywords(self):
+        exc = errors.OrderError("message", token="a", cycle=("a", "a"))
+        assert (str(exc), exc.args, vars(exc)) == ("message", ("message",), {"token": "a", "cycle": ("a", "a")})
+
+    @pytest.mark.parametrize("cls, args, witness", _witnesses())
     def test_subclass_witness(self, cls, args, witness):
         exc = getattr(errors, cls)(*args)
         assert isinstance(exc, errors.OrderError)
         assert vars(exc) == witness
         assert exc.args == (str(exc),)
+
+    @pytest.mark.parametrize("exc", [
+        errors.OrderError("message", token="a"),
+        errors.ParseError("expected a pair written as 'x < y'", "r.txt", 3),
+        *(getattr(errors, cls)(*args) for cls, args, _ in _witnesses()),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_pickles_and_copies(self, exc):
+        # `pickle` and `copy` rebuild an error from `args`, which is not what a subclass's constructor takes.
+        copies = [pickle.loads(pickle.dumps(exc, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in (*copies, copy.copy(exc), copy.deepcopy(exc)):
+            assert (type(copied), copied.args, str(copied), vars(copied)) == (type(exc), exc.args, str(exc), vars(exc))
