@@ -2,28 +2,28 @@
 
 Relations are stored in strict form: reflexive pairs stay implicit, so a
 valid relation is an irreflexive, antisymmetric, transitively closed set
-of ordered pairs over a ground sequence.  The ground keeps its input
-order and doubles as the default tie-break source.  A `Poset` stores the
+of ordered pairs over a ground sequence.  The ground keeps its input order
+and doubles as the default tie-break source.  A `Poset` stores the
 relation only as successor and predecessor bitmasks indexed by ground
 position, plus each position's covers (the transitive reduction, which
-linearization walks); its pairs are built on request.  Raw pairs are read
-once, by `_masks`, which also lists each position's row (its distinct
-successors in input order) and rejects the least stray after reading
-them all; closing and verifying OR along those rows.  One reach pass,
-`_reach`, gives successor masks and covers alike: `_close` closes `pred`
-inside its plain Kahn queue, then runs the pass back along the queue's
-order, or, when the queue stops short, raises its caller's error class
-with a shortest cycle as witness before any successor mask changes;
-`Poset` runs it over a copy of the masks it verifies, which are closed
-and antisymmetric exactly when the pass changes none, and `restrict`
-over the masks it keeps.  Closing and linearizing keep separate loops:
-`extension.linear_extension` ranks its frontier, which closing has no
-use for.  The public constructors verify everything they are given;
-results correct by construction are assembled by `_closed_poset` and
-`_linear_orders` (one order or a batch) without a second check.  Tokens
-are checked as one batch by `_valid_tokens` and walked one by one only
-to name a witness.  All values are immutable after construction and
-every operation is a pure function of its inputs.
+linearization walks); its pairs are built on request.  Raw pairs, and
+`restrict`'s kept pairs by position, are read once, by `_masks`, which
+also lists each position's row (its distinct successors in input order)
+and rejects the least stray after reading them all.  One reach pass,
+`_reach`, ORs along those rows, read by position, and gives successor
+masks and covers alike: `_close` closes `pred` inside its plain Kahn
+queue, then runs the pass back along the queue's order, or, when the queue
+stops short, raises its caller's error class with a shortest cycle as
+witness before any successor mask changes; `Poset` runs it over a copy of
+the masks it verifies, which are closed and antisymmetric exactly when the
+pass changes none, and `restrict` over the kept masks.  Closing and
+linearizing keep separate loops: `extension.linear_extension` ranks its
+frontier, which closing has no use for.  The public constructors verify
+everything they are given; results correct by construction are assembled
+by `_closed_poset` and `_linear_orders` (one order or a batch) without a
+second check.  Tokens are checked as one batch by `_valid_tokens` and
+walked one by one only to name a witness.  All values are immutable after
+construction and every operation is a pure function of its inputs.
 """
 
 from collections import deque
@@ -149,7 +149,7 @@ def bits(mask: int) -> list[int]:
     return out[::-1]
 
 
-def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False
+def _masks(pairs: Iterable[tuple], index: dict, loops: bool = False
            ) -> tuple[list[int], list[int], list[list[int]]]:
     """Successor and predecessor bitmasks of `pairs` over the positions in `index`, and each position's row:
     the distinct positions above it, in input order.  All are read before the least stray is rejected: the
@@ -183,14 +183,14 @@ def _masks(pairs: Iterable[Pair], index: dict[str, int], loops: bool = False
     return succ, pred, [row if len(row) == mask.bit_count() else [*dict.fromkeys(row)] for row, mask in zip(rows, succ)]
 
 
-def _reach(succ: list[int], order: Iterable[int], rows: Iterable[Iterable[int]]) -> list[int]:
-    """Along `order`, OR into each mask, in place, the masks of its successors, which `rows` lists in
-    step with `order`, and return each position's covers: the successors no other successor reaches.
+def _reach(succ: list[int], order: Iterable[int], rows: Sequence[Iterable[int]]) -> list[int]:
+    """Along `order`, OR into each mask `succ[i]`, in place, the masks of its successors, the row `rows[i]`
+    that `_masks` listed, and return each position's covers: the successors no other successor reaches.
     Along a reverse topological order this closes the masks; on closed masks it changes nothing."""
     cover = [0] * len(succ)
-    for i, row in zip(order, rows):
+    for i in order:
         reach = 0
-        for j in row:
+        for j in rows[i]:
             reach |= succ[j]
         cover[i] = succ[i] & ~reach
         succ[i] |= reach
@@ -362,7 +362,7 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[li
     if len(order) < len(nodes):
         raise cycle(_shortest_cycle(nodes, succ, pred, [i for i, d in enumerate(indegree) if d], starts))
     order.reverse()
-    cover = _reach(succ, order, map(rows.__getitem__, order))
+    cover = _reach(succ, order, rows)
     return _closed_poset(nodes, succ, pred, cover)
 
 
@@ -420,15 +420,14 @@ def validate(
 def restrict(poset: Poset, subset: Iterable[str]) -> Poset:
     """Sub-poset on `subset`: the relation intersected with subset x subset.
 
-    Restriction of a closed relation is closed, so the result is read off
-    the masks of the kept positions without a second verification; one
-    reach pass over them, which changes none, gives its covers.
+    Restriction of a closed relation is closed, so the masks `_masks` reads
+    off the kept pairs (ground positions, indexed by their new ones) need no
+    second verification; one reach pass along its rows gives the covers.
     """
     sub = check_ground(subset)
     new = {poset.index(tok): k for k, tok in enumerate(sub)}
-    succ = [sum(1 << new[j] for j in bits(poset.succ[i]) if j in new) for i in new]
-    pred = [sum(1 << new[j] for j in bits(poset.pred[i]) if j in new) for i in new]
-    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), map(bits, succ)))
+    succ, pred, rows = _masks([(i, j) for i in new for j in bits(poset.succ[i]) if j in new], new)
+    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), rows))
 
 
 def order_from_enumeration(sequence: Iterable[str]) -> LinearOrder:

@@ -139,7 +139,7 @@ def linear_extension(
     kind = "input-order" if policy is None else policy.kind
     ranked = sorted(range(len(g)), key=g.__getitem__) if kind == "lexicographic" else range(len(g))
     first = policy.start()._first if kind == "seeded" else None
-    rank = sorted(range(len(ranked)), key=ranked.__getitem__)  # the inverse permutation
+    rank = sorted(range(len(g)), key=ranked.__getitem__) if kind == "lexicographic" else ranked  # its inverse
     frontier = sorted([-rank[i] for i, mask in enumerate(pred) if not mask])
     out: list[str] = []
     placed = 0

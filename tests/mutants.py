@@ -72,6 +72,97 @@ MUTANTS = [
            ("tests/test_core.py", "-k", "test_public_orders_weigh_what_batch_built_ones_do"),
            "a public order stores its sequence in an instance dict",
            "One order builder and a Kahn step"),
+    # The batch relation reader and the partition reader's sections.
+    Mutant("formats.py", "Partition(blocks if len(blocks)", "Partition(blocks[not blocks[0] :] if len(blocks)",
+           ("tests/test_formats.py", "-k", "test_lone_separator_makes_empty_first_block"),
+           "a partition's empty first block dropped", "One section reader for relation and partition files"),
+    Mutant("formats.py", "    return left.strip(), right.strip()\n", "    return right.strip(), left.strip()\n",
+           ("tests/test_formats.py", "-k", "TestParseRelation or TestReadersMatchReference"),
+           "a relation line's right token checked before its left",
+           "One section reader for relation and partition files"),
+    Mutant("formats.py", '    if not angle or "<" in right:\n',
+           '    check_token(left.strip())\n    if not angle or "<" in right:\n',
+           ("tests/test_formats.py", "-k", "TestParseRelation or TestReadersMatchReference"),
+           "a relation line's tokens checked before its `<` structure",
+           "One section reader for relation and partition files"),
+    Mutant("formats.py",
+           '        if "---" in body:\n'
+           '            raise ParseError("more than one \'---\' separator", path, numbered[cut + 1 + body.index("---")][0])\n'
+           "        if not _valid_tokens(ground):  # also keeps a file with no header (cut -1) from walking numbered[:-1]\n"
+           "            _walk(numbered[:cut], path, _one_token)\n",
+           "        if not _valid_tokens(ground):\n"
+           "            _walk(numbered[:cut], path, _one_token)\n"
+           '        if "---" in body:\n'
+           '            raise ParseError("more than one \'---\' separator", path, numbered[cut + 1 + body.index("---")][0])\n',
+           ("tests/test_formats.py", "-k", "TestParseRelation or TestReadersMatchReference"),
+           "a second `---` found only after the header's tokens",
+           "One section reader for relation and partition files"),
+    Mutant("formats.py", "    return left.strip(), right.strip()\n", "    return (left.strip(),)\n",
+           ("tests/test_formats.py", "-k", "TestParseRelation or TestReadersMatchReference"),
+           "a relation line's right token left unchecked", "One section reader for relation and partition files"),
+    # `errors._integer`, reading numbers of any length.
+    Mutant("errors.py", 'text[:cut].removesuffix("_")', "text[:cut]",
+           ("tests/test_extension.py", "-k", "TestIntegerReader"), "`_integer` keeps a `_` before its cut",
+           "One reader each for long numbers and seeded draws"),
+    Mutant("errors.py", "if not high[-1:].isdecimal():", "if not high:",
+           ("tests/test_extension.py", "-k", "TestIntegerReader"), "`_integer` cuts between non-digits",
+           "One reader each for long numbers and seeded draws"),
+    Mutant("errors.py", "cut = digits[len(digits) // 2] if", "cut = digits[len(digits) // 2] + 1 if",
+           ("tests/test_extension.py", "-k", "TestIntegerReader"), "`_integer` cuts one character late",
+           "One reader each for long numbers and seeded draws"),
+    Mutant("errors.py", 'return -n if "-" in high else n', 'return -n if high.startswith("-") else n',
+           ("tests/test_extension.py", "-k", "TestIntegerReader"), "`_integer` reads the sign by `startswith`",
+           "One reader each for long numbers and seeded draws"),
+    Mutant("errors.py", "abs(_integer(high))", "_integer(high)",
+           ("tests/test_extension.py", "-k", "TestIntegerReader"), "`_integer` drops `abs` on the high half",
+           "One reader each for long numbers and seeded draws"),
+    Mutant("errors.py", "10 ** (len(digits) - len(digits) // 2)", "10 ** (len(digits) // 2)",
+           ("tests/test_extension.py", "-k", "TestIntegerReader"), "`_integer` takes the power from the high half",
+           "One reader each for long numbers and seeded draws"),
+    # `is_dense` and the orders it reads.
+    Mutant("constructions.py", "labels = a | b if strict else b | a", "labels = b | a if strict else a | b",
+           ("tests/test_constructions.py", "-k", "IsDense"), "`is_dense` swaps the label precedence",
+           "Enumerated orders built in C, density decided by one label string"),
+    Mutant("constructions.py",
+           '    for tokens, label in ((t1, "a"), (t2, "b")):\n        seq = check_ground(tokens)\n',
+           '    for seq, label in ((check_ground(t1), "a"), (check_ground(t2), "b")):\n',
+           ("tests/test_constructions.py", "-k", "IsDense"), "`is_dense` checks T2 before T1's unknowns",
+           "Enumerated orders built in C, density decided by one label string"),
+    Mutant("constructions.py", "UnknownElement(next(tok for tok in seq if tok not in known))",
+           "UnknownElement(min(tok for tok in seq if tok not in known))",
+           ("tests/test_constructions.py", "-k", "IsDense"), "`is_dense` names the least unknown, not the first",
+           "Enumerated orders built in C, density decided by one label string"),
+    Mutant("core.py", 'repeat("sequence"), sequences)', 'repeat("sequence"), map(list, sequences))',
+           ("tests/test_extension.py", "-k", "TestEnumeratedOrdersMatchVerifiedOnes"),
+           "batch-built orders store a list as `sequence`",
+           "Enumerated orders built in C, density decided by one label string"),
+    # The stray rule of `_masks`.
+    Mutant("core.py", "InvalidToken(min(odd, key=repr),", "InvalidToken(odd[0],",
+           ("tests/test_core.py", "-k", "Stray"), "the first non-string named, not the least by repr",
+           "One front end for raw pairs"),
+    Mutant("core.py", "if i == j and not loops:", "if i == j:",
+           ("tests/test_core.py", "-k", "Stray"), "`_masks` ignores `loops`", "One front end for raw pairs"),
+    # Seeded and plain picks in `linear_extension`.
+    Mutant("policy.py", "p = swaps[-1] = i", "p = i",
+           ("tests/test_policy.py", "-k", "test_seeded_is_first_of_reference_shuffle or test_calls_follow_the_reference"),
+           "`_first` leaves its stop slot stale", "`TieBreaker.pick` deleted"),
+    Mutant("policy.py", "draws(k - 1), range(k, 1, -1))]", "draws(k - 1), range(k - 1, 0, -1))]",
+           ("tests/test_policy.py", "-k", "test_seeded_is_first_of_reference_shuffle or test_calls_follow_the_reference"),
+           "`_first` shifts its moduli", "`TieBreaker.pick` deleted"),
+    Mutant("extension.py", 'sorted(range(len(g)), key=g.__getitem__) if kind == "lexicographic" else range(len(g))',
+           "range(len(g))",
+           ("tests/test_policy.py", "-k", "test_pick_is_first_of_arrangement or test_plain_kinds"),
+           "lexicographic order ranked as input order", "`TieBreaker.pick` deleted"),
+    # `restrict` through `_masks`.
+    Mutant("core.py", "for j in bits(poset.succ[i]) if j in new]", "for j in bits(poset.succ[i])]",
+           ("tests/test_core.py", "-k", "TestRestrict"), "`restrict` hands `_masks` pairs with an end dropped",
+           "`restrict` reads its kept pairs through `_masks`"),
+    Mutant("core.py", "for j in bits(poset.succ[i]) if j in new]", "for j in bits(poset.pred[i]) if j in new]",
+           ("tests/test_core.py", "-k", "TestRestrict"), "`restrict` reads the kept rows of `pred`",
+           "`restrict` reads its kept pairs through `_masks`"),
+    Mutant("core.py", "_reach(succ, range(len(sub)), rows)", "_reach(succ, range(len(sub)), [[]] * len(sub))",
+           ("tests/test_core.py", "-k", "TestRestrict"), "`restrict`'s reach pass reads no rows",
+           "`restrict` reads its kept pairs through `_masks`"),
 ]
 
 

@@ -504,6 +504,41 @@ class TestRestrict:
         assert result == Poset(sub, [(x, y) for x, y in poset.relation if x in kept and y in kept])
 
 
+class TestRestrictScaleTier:
+    """Restriction at 300-3,000 elements, where the property above never goes: a kept subset in
+    ground order, shuffled, every other element, none and all, against the verifying constructor on
+    the pairs with both ends kept, and the covers against the transitive-reduction oracle (for a
+    chain, whose oracle run is cubic, against the kept elements' consecutive pairs along it).  One
+    test for the tier, so that its whole cost shows among the slowest tests CI lists."""
+
+    def test_matches_verified(self):
+        for family, n, seed in (
+            ("chain", 300, 7), ("chain", 600, 8), ("antichain", 3000, 9), ("layers", 2000, 10), ("chains", 3000, 11),
+        ):
+            rng = random.Random(seed)
+            ground, pairs, covers = scale_input(rng, family, n)
+            poset = validate(ground, pairs, auto_close=True)
+            g, relation = poset.ground, poset.relation
+            if family == "chain":  # the chain in its own order: its bottom, then each element's cover
+                above = dict(covers)
+                along = [*({x for x, _ in covers} - set(above.values()))]
+                while len(along) < n:
+                    along.append(above[along[-1]])
+            in_order = [tok for tok in g if rng.random() < 0.5]
+            for sub in (in_order, rng.sample(in_order, len(in_order)), g[::2], (), g):
+                kept = set(sub)
+                result = restrict(poset, sub)
+                verified = Poset(sub, [(x, y) for x, y in relation if x in kept and y in kept])
+                assert result.ground == verified.ground == tuple(sub)
+                assert (result.succ, result.pred, result._cover) == (verified.succ, verified.pred, verified._cover)
+                got = {(x, sub[j]) for x, mask in zip(sub, result._cover) for j in bits(mask)}
+                if family == "chain":
+                    chain_kept = [tok for tok in along if tok in kept]
+                    assert got == set(zip(chain_kept, chain_kept[1:]))
+                else:
+                    assert got == transitive_reduction(result)
+
+
 class TestOrderFromEnumeration:
     def test_three_elements(self):
         order = order_from_enumeration(("b1", "b2", "b3"))
