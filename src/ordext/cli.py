@@ -19,11 +19,11 @@ A run builds the parser of its command alone, and imports the modules
 that command uses; `--help`, usage errors and an unknown command build
 the parser of every command.  Each handler returns its stdout as an
 iterable of strings (a generator for enumerated orders, incomparable
-pairs and relation text, so they are written as they are made, and a
-poset's masks, 2n² bits, are the only memory quadratic in its n
-elements); `main` alone writes it, flushes it and returns 0.  One
-handler serves `linearize` and `szpilrajn`: a linear extension is a
-Szpilrajn extension with no forced pair.
+pairs and relation text, one string per order or row, so they are
+written as they are made, and a poset's masks, 2n² bits, are the only
+memory quadratic in its n elements); `main` alone writes it, flushes it
+and returns 0.  One handler serves `linearize` and `szpilrajn`: a
+linear extension is a Szpilrajn extension with no forced pair.
 
 The `validate` command checks a relation file exactly as given (opt-in
 closure via --auto-close).  The operating commands (linearize,
@@ -44,8 +44,8 @@ from .core import (
     DEFAULT_ENUM_LIMIT,
     Poset,
     _closure,
+    _incomparable_rows,
     check_ground,
-    incomparable_pairs,
     is_comparable,
     order_from_enumeration,
     restrict,
@@ -165,7 +165,9 @@ def cmd_incomparable(args: argparse.Namespace) -> Iterable[str]:
             raise ParseError("expected exactly two elements after the file")
         return ["false\n" if is_comparable(poset, *args.pair) else "true\n"]
     separator = "\t" if args.output == "machine" else " "
-    return (f"{x}{separator}{y}\n" for x, y in incomparable_pairs(poset))
+    # One string per row: one join, its lines' common head `x<separator>` as the separator.
+    heads = ((f"{x}{separator}", row) for x, row in _incomparable_rows(poset))
+    return (head + f"\n{head}".join(row) + "\n" for head, row in heads)
 
 
 def cmd_bipartition(args: argparse.Namespace) -> Iterable[str]:

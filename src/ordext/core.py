@@ -29,7 +29,7 @@ construction and every operation is a pure function of its inputs.
 from collections import deque
 from functools import cached_property
 from itertools import combinations, compress, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AntisymmetryViolation,
@@ -445,16 +445,24 @@ def is_comparable(poset: Poset, x: str, y: str) -> bool:
     return x == y or bool((poset.succ[i] | poset.pred[i]) >> j & 1)
 
 
+def _incomparable_rows(poset: Poset) -> Iterator[tuple[str, Iterator[str]]]:
+    """Each element x with a nonempty row, and that row: the later elements of the ground,
+    in ground order, that x is incomparable to.  One row is decoded at a time, so a caller
+    that writes each row before drawing the next holds no more than one."""
+    g = poset.ground
+    full = (1 << len(g)) - 1
+    for i, x in enumerate(g):
+        row = full & ~((2 << i) - 1) & ~(poset.succ[i] | poset.pred[i])
+        if row:  # decoded in C: the row's binary digits, lowest first, select from the ground
+            yield x, compress(g, bin(row)[:1:-1].encode().translate(_DIGITS))
+
+
 def incomparable_pairs(poset: Poset) -> list[Pair]:
     """Unordered incomparable pairs, normalized to ground order.
 
     Empty exactly when the poset is already total.
     """
-    g = poset.ground
-    full = (1 << len(g)) - 1
     out: list[Pair] = []
-    for i, x in enumerate(g):
-        row = full & ~((2 << i) - 1) & ~(poset.succ[i] | poset.pred[i])
-        if row:  # decoded in C: the row's binary digits, lowest first, select from the ground
-            out += zip(repeat(x), compress(g, bin(row)[:1:-1].encode().translate(_DIGITS)))
+    for x, row in _incomparable_rows(poset):
+        out += zip(repeat(x), row)
     return out

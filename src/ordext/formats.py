@@ -6,9 +6,10 @@ structural separator.  Parsers raise :class:`ParseError` (exit 2 at the
 CLI) for malformed text; whether the parsed object makes sense is the
 library's business and surfaces as a domain error (exit 1).  A file is
 read as a batch: lines stripped and filtered, a relation body split at
-`<` and checked by whole columns, all tokens by one `_valid_tokens` call;
-only a failed check walks the numbered lines, to name the first bad
-token or malformed line, a line's structure before its tokens.
+`<` a line at a time, all tokens checked by one `_valid_tokens` call,
+which a malformed pair line fails too; only a failed check walks the
+numbered lines, to name the first bad token or malformed line, a line's
+structure before its tokens.
 
 - relation: optional ground header, one element per line, then `---`,
   then one pair per line as `x < y`.  Without a separator every line is
@@ -20,7 +21,6 @@ token or malformed line, a line's structure before its tokens.
 """
 
 from itertools import chain, compress, count, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core import Pair, Poset, _valid_tokens, bits, check_token
@@ -83,12 +83,12 @@ def parse_relation(text: str, path: str | None = None) -> tuple[tuple[str, ...],
     lines = _lines(text)
     cut = lines.index("---") if "---" in lines else -1  # -1: no header, every line a pair
     ground, body = tuple(lines[: max(cut, 0)]), lines[cut + 1 :]
-    parts = list(map(str.partition, body, repeat("<")))
-    rights = list(map(itemgetter(2), parts))
-    pairs = list(zip(map(str.strip, map(itemgetter(0), parts)), map(str.strip, rights)))
+    # Split a line at a time, so a line's halves are dropped once stripped.
+    pairs = [(left.strip(), right.strip()) for left, _, right in map(str.partition, body, repeat("<"))]
     tokens = (*ground, *chain.from_iterable(pairs))
-    # A line with no `<`, a second `---` among them, fails the first test.
-    if "" in map(itemgetter(1), parts) or "<" in "".join(rights) or not _valid_tokens(tokens):
+    # A malformed line fails the token check too: a line with no `<` (a second `---` among
+    # them) leaves an empty right token, a line with a second `<` a `<` in its right token.
+    if not _valid_tokens(tokens):
         # The error path: a second `---`, then a bad header line, then the body line by line.
         numbered = _numbered(text)  # one entry per item of `lines`, so `cut` splits both alike
         if "---" in body:

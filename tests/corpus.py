@@ -235,6 +235,53 @@ def _cli_cases(rng: random.Random) -> dict[str, tuple]:
     return cases
 
 
+# Defects put in a long relation body, by name: (the body line before which it goes, or None
+# for the end; blank and comment lines count; the line).
+_LONG_DEFECTS = {
+    "structure-first": (0, "x y"),
+    "token-second-block": (1030, "x < y z"),
+    "separator-second-block": (1100, "---"),
+    "structure-at-block-end": (1023, "x < y < z"),
+    "token-last": (None, "x < #y"),
+}
+
+
+def _long_relation_cases(rng: random.Random) -> dict[str, tuple]:
+    """CLI cases on relation files of 1,100-5,200 pair lines, longer than the blocks the reader
+    splits a body into: a 5 x 60 grid where (k, a) < (l, b) when k < l and |a - b| <= 2(l - k),
+    as its covers with and without a header and as the whole closed relation, and the covers
+    with one defect each."""
+    name = "v{}_{}".format
+    grid = [(k, a) for k in range(5) for a in range(60)]
+    ground = [name(*v) for v in rng.sample(grid, len(grid))]
+    closed = [(name(k, a), name(l, b)) for k, a in grid for l, b in grid if k < l and abs(a - b) <= 2 * (l - k)]
+    covers = [(name(k, a), name(k + 1, b)) for k, a in grid for b in range(60) if k < 4 and abs(a - b) <= 2]
+    rng.shuffle(closed)
+    rng.shuffle(covers)
+    body = [rng.choice(["{} < {}", "{}<{}", "  {}   <  {} "]).format(x, y) for x, y in covers]
+    for at in sorted(rng.sample(range(len(body)), 6), reverse=True):
+        body.insert(at, rng.choice(["", "# note", "   "]))
+    files = {
+        "grid-covers.rel": "\n".join([*ground, "---", *body]) + "\n",
+        "grid-closed.rel": "".join(f"{line}\n" for line in [*ground, "---", *map(" < ".join, closed)]),
+        "grid-covers-no-header.rel": "\r\n".join(body) + "\r\n",
+    }
+    for name, (at, line) in _LONG_DEFECTS.items():
+        spoiled = list(body)
+        spoiled.insert(len(spoiled) if at is None else at, line)
+        files[f"grid-{name}.rel"] = "\n".join([*ground, "---", *spoiled]) + "\n"
+    cases: dict[str, tuple] = {}
+    for rel, text in files.items():
+        good = rel.startswith(("grid-covers", "grid-closed"))
+        variants = {"validate": ["validate", rel], "closure": ["closure", rel]}
+        if good:
+            variants |= {"validate-auto": ["validate", "--auto-close", rel], "incomparable": ["incomparable", rel]}
+        for j, (variant, argv) in enumerate(variants.items()):
+            for mode in ("human", "machine") if good else [("human", "machine")[j % 2]]:  # a bad file fails alike in both
+                cases[f"cli/{rel}/{variant}/{mode}"] = ([*argv, "--output", mode], {rel: text.encode()}, {})
+    return cases
+
+
 # Lines a generated relation text is made of, good and malformed.
 _LINES = [
     "a", "b", "c", " a ", "a b", "#x", "# note", "", "\t", "---", " --- ", "é",
@@ -561,7 +608,7 @@ def cases() -> dict[str, tuple]:
     """Every case by name, built from SEED alone."""
     rng = random.Random(SEED)
     return {**_cli_cases(rng), **_library_cases(rng), **_construction_cases(rng),
-            **_library_call_cases(random.Random(SEED + 1))}
+            **_library_call_cases(random.Random(SEED + 1)), **_long_relation_cases(random.Random(SEED + 2))}
 
 
 # Each library case's function, by name; the ones taking a poset, a partition, a

@@ -163,6 +163,16 @@ MUTANTS = [
     Mutant("core.py", "_reach(succ, range(len(sub)), rows)", "_reach(succ, range(len(sub)), [[]] * len(sub))",
            ("tests/test_core.py", "-k", "TestRestrict"), "`restrict`'s reach pass reads no rows",
            "`restrict` reads its kept pairs through `_masks`"),
+    # Incomparable rows written one at a time, relation bodies split one line at a time.
+    Mutant("core.py", "full & ~((2 << i) - 1)", "full & ~((1 << i) - 1)",
+           ("tests/test_core.py", "-k", "incomparable"), "an incomparable row starts at its own element",
+           "Incomparable pairs written a row at a time"),
+    Mutant("cli.py", 'head + f"\\n{head}".join(row)', 'f"\\n{head}".join(row)',
+           ("tests/test_cli.py", "-k", "TestIncomparable"), "a row's first pair written without its head",
+           "Incomparable pairs written a row at a time"),
+    Mutant("formats.py", "(left.strip(), right.strip()) for left", "(left.strip(), right) for left",
+           ("tests/test_formats.py", "-k", "TestParseRelation or TestReadersMatchReference"),
+           "a pair's right token kept unstripped", "Incomparable pairs written a row at a time"),
 ]
 
 

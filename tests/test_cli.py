@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import ordext.extension
 from ordext import cli
-from ordext import ForcedPair, Poset, TieBreakPolicy, parse_relation, szpilrajn, validate
+from ordext import ForcedPair, Poset, TieBreakPolicy, format_relation, parse_relation, szpilrajn, validate
 from ordext.cli import COMMANDS, build_parser, main
 
 from helpers import random_pairs
+from oracles import incomparable_by_double_loop
 
 CHAIN = "a < b\nb < c\n"
 ANTICHAIN3 = "a\nb\nc\n---\n"
@@ -469,6 +470,23 @@ class TestIncomparable:
         code, _, _ = run("incomparable", "r", "x", files={"r": DIAMOND})
         assert code == 2
 
+    @pytest.mark.parametrize("mode, separator", [("human", " "), ("machine", "\t")])
+    def test_rows_match_double_loop(self, run, mode, separator):
+        # Each row is written as one string: the empty ground, one element, a total order
+        # (no output), grounds whose last rows are empty (the tops listed last, or an element
+        # comparable to all listed after it), and random posets of up to 40 elements.
+        rng = random.Random(31)
+        posets = [
+            validate((), []), validate(("a",), []), validate(*random_pairs(rng, 12, 1.0), auto_close=True),
+            validate(("a", "b", "c", "d"), [("a", "c"), ("b", "c"), ("c", "d")], auto_close=True),
+            validate(("p", "q", "r", "s", "t"), [("p", "t"), ("q", "r"), ("r", "s"), ("r", "t")], auto_close=True),
+        ]
+        posets += [validate(*random_pairs(rng, rng.randrange(41), rng.random() * 0.2), auto_close=True)
+                   for _ in range(30)]
+        for poset in posets:
+            want = "".join(f"{x}{separator}{y}\n" for x, y in incomparable_by_double_loop(poset))
+            assert run("incomparable", "--output", mode, "r", files={"r": format_relation(poset)}) == (0, want, "")
+
 
 class TestConstructionsCommands:
     def test_bipartition(self, run):
@@ -757,10 +775,45 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stdout) == (code, out)
 
 
+# Runs argv[1:] with stdout on the null device and prints its exit status and peak RSS in
+# KiB.  Linux carries the high-water RSS of the process that spawns a child into the child's
+# ru_maxrss, so the relay runs under `python -S` and stays smaller than the child, where the
+# test process, whose heap holds the suite, would not.
+_RELAY = (
+    "import os, sys\n"
+    "pid = os.fork()\n"
+    "if not pid:\n"
+    "    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)\n"
+    "    os.execv(sys.argv[1], sys.argv[1:])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+class TestPeakMemory:
+    """Outputs quadratic in n are written a row at a time, so a process that writes millions
+    of pairs stays within a few MB of the interpreter's own size."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["incomparable", "--output", "machine"], "".join(f"a{i}\n" for i in range(3000)) + "---\n"),  # 4.5M pairs
+        (["closure"], "".join(f"c{i} < c{i + 1}\n" for i in range(1499))),  # 1.1M pairs
+    ], ids=["incomparable-antichain-3000", "closure-chain-1500"])
+    def test_peak_rss_under_48_mb(self, tmp_path, argv, text):
+        (tmp_path / "r.txt").write_text(text, encoding="utf-8")
+        relay = subprocess.run(
+            [sys.executable, "-S", "-c", _RELAY, sys.executable, "-m", "ordext", *argv, "r.txt"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        code, kib = map(int, relay.stdout.split())
+        assert code == 0
+        assert kib < 48 * 1024
+
+
 class TestStreamedOutput:
     """Output is written as it is made: when the first write finds the reader gone, the
-    enumeration walk, the incomparable pairs and the pieces of relation text have been drawn
-    no further than that."""
+    enumeration walk, the rows of incomparable pairs and the pieces of relation text have
+    been drawn no further than that."""
 
     @pytest.fixture
     def closed_stdout(self, tmp_path):
@@ -801,10 +854,10 @@ class TestStreamedOutput:
 
     def test_incomparable(self, tmp_path, monkeypatch, closed_stdout):
         drawn = []
-        pairs = cli.incomparable_pairs
-        monkeypatch.setattr(cli, "incomparable_pairs", lambda poset: self.counted(pairs(poset), drawn))
+        rows = cli._incomparable_rows
+        monkeypatch.setattr(cli, "_incomparable_rows", lambda poset: self.counted(rows(poset), drawn))
         target = tmp_path / "r.txt"
-        target.write_text("a\nb\nc\nd\ne\nf\n---\n", encoding="utf-8")  # 15 pairs
+        target.write_text("a\nb\nc\nd\ne\nf\n---\n", encoding="utf-8")  # 15 pairs in 5 rows
         with contextlib.redirect_stdout(closed_stdout):
             assert main(["incomparable", "--output", "machine", str(target)]) == 1
         assert 1 <= len(drawn) <= 2

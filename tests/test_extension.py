@@ -22,6 +22,7 @@ from ordext import (
     enumerate_linear_extensions,
     extend_with_pair,
     incomparable_pairs,
+    is_comparable,
     linear_extension,
     restrict,
     szpilrajn,
@@ -310,6 +311,32 @@ class TestCoversAreTheTransitiveReduction:
             built.append(extended)
         for poset in built:
             assert self.covers(poset) == transitive_reduction(poset)
+
+
+class TestTransferStep:
+    """The finite shadow of the source paper's proof, which extends the order restricted to a
+    finite set and transfers the result to the whole ground: a linear extension L_S of P
+    restricted to S is the restriction of a linear extension of P, built by forcing each
+    consecutive pair of L_S that is still incomparable, then linearizing."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 60), st.floats(0, 0.12), st.integers(0, 2**32), st.floats(0, 1))
+    def test_extension_of_a_restriction_transfers(self, n, density, seed, keep):
+        rng = random.Random(seed)
+        poset = random_poset(rng, n, density)
+        subset = [tok for tok in rng.sample(poset.ground, n) if rng.random() < keep]
+        local = linear_extension(restrict(poset, subset), random_policy(rng)).sequence
+        chained = poset
+        for x, y in zip(local, local[1:]):
+            if not is_comparable(chained, x, y):
+                chained = extend_with_pair(chained, ForcedPair(x, y))
+        order = linear_extension(chained, random_policy(rng)).sequence
+        kept = set(subset)
+        assert tuple(tok for tok in order if tok in kept) == local
+        position = {tok: k for k, tok in enumerate(order)}
+        assert all(position[x] < position[y] for x, y in poset.relation)
+        assert_matches_verified(chained)  # equal to Poset(ground, relation), masks and covers too
+        assert TestCoversAreTheTransitiveReduction.covers(chained) == transitive_reduction(chained)
 
 
 class TestWideAntichains:

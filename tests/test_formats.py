@@ -289,6 +289,24 @@ class TestReadersMatchReference:
     def test_relation(self, text):
         assert outcome(parse_relation, text, "f.txt") == outcome(parse_relation_reference, text, "f.txt")
 
+    @pytest.mark.parametrize("size", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+    def test_relation_long_body(self, size, header):
+        # Bodies of 1,023 to 2,049 pair lines, as they are and with one malformed line, bad
+        # token or second `---` put first, in the middle or last.
+        rng = random.Random(size * 2 + header)
+        names = [f"t{i}" for i in range(size // 3)]
+        body = [rng.choice(["{} < {}", "{}<{}", " {}\t<  {} "]).format(*rng.sample(names, 2)) for _ in range(size)]
+        for at in rng.sample(range(size), 5):
+            body.insert(at, rng.choice(["", "# note", "  "]))
+        head = rng.sample(names, len(names) // 2) + ["---"] if header else []
+        texts = ["\n".join(head + body) + "\n"]
+        for defect in ["a b", "a < b < c", "a <", "a < #b", "a b < c", "---"]:
+            for at in (0, len(body) // 2, len(body)):
+                texts.append("\n".join(head + body[:at] + [defect] + body[at:]) + "\n")
+        for text in texts:
+            assert outcome(parse_relation, text, "f.txt") == outcome(parse_relation_reference, text, "f.txt")
+
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(texts)
     def test_partition(self, text):
