@@ -7,9 +7,12 @@ along the covers with a tie-break policy deciding among candidates;
 `szpilrajn` chains the two and returns a certificate a caller can
 re-check, whose input relation is built when first read.  Enumeration
 walks every removal order, listing each free maximal tail (an unplaced
-upset that is an antichain) by `permutations`; a downset DP counts them
-per comparability component.  Both cross-examine the fast path, whose
-results are correct by construction, built without a second check.
+upset that is an antichain) by `permutations` and the orders of any
+other upset of at most four elements from a table of tails kept for
+one walk, at most 1,024 upsets of at most 12 tails each, cleared when
+full; a downset DP counts them per comparability component.  Both
+cross-examine the fast path, whose results are correct by
+construction, built without a second check.
 """
 
 import sys
@@ -25,6 +28,9 @@ from .errors import CapExceeded, NotIncomparable, _decimal
 
 if TYPE_CHECKING:  # a policy given is already loaded, and without one none is needed
     from .policy import TieBreakPolicy
+
+_TAIL = 4  # the enumeration walk reads orders of at most this many unplaced positions from its table
+_TAILS_CAP = 1024  # upsets the table holds before it is cleared
 
 
 class ForcedPair(_Record):
@@ -187,21 +193,41 @@ def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
     unplaced set U is an upset, and an antichain exactly when every
     `inner` (non-maximal) position is placed.  Then the scan admits all
     of U at every level, so the orders below are `permutations` of U's
-    tokens in ascending position, handed out in C.  Each order is found
-    when it is asked for, in O(n) memory and with no depth limit.
+    tokens in ascending position, handed out in C.  Otherwise, once at
+    most `_TAIL` positions are unplaced, the orders below depend on U
+    alone (Stanley, EC1 ch. 3), so they are read from a table of tails
+    private to the walk: each minimal element of U, ascending, before
+    each tail of U without it.  The table holds at most `_TAILS_CAP`
+    upsets, each of at most 4!/2 = 12 tails of at most `_TAIL` tokens,
+    and is cleared when full.  Each order is found when it is asked for,
+    in O(n) memory and with no depth limit.
     """
     g, pred = poset.ground, poset.pred
     n = len(g)
     down = [mask | 1 << i for i, mask in enumerate(pred)]
     inner = sum(1 << i for i, mask in enumerate(poset.succ) if mask)
+    full = (1 << n) - 1
+    table: dict[int, list[tuple[str, ...]]] = {}
+
+    def tails(up: int) -> list[tuple[str, ...]]:
+        if up not in table:
+            ways = [(g[m], *rest) for m in bits(up) if not pred[m] & up for rest in tails(up ^ 1 << m)] if up else [()]
+            if len(table) >= _TAILS_CAP:
+                table.clear()
+            table[up] = ways
+        return table[up]
+
     prefix: list[int] = []
     tokens: list[str] = []
     placed = 0
     i = 0
     while True:
         if placed & inner == inner:
-            rest = [g[j] for j in bits(placed ^ (1 << n) - 1)]
+            rest = [g[j] for j in bits(placed ^ full)]
             yield from map(tuple(tokens).__add__, permutations(rest))
+            i = n
+        elif len(prefix) >= n - _TAIL:
+            yield from map(tuple(tokens).__add__, tails(placed ^ full))
             i = n
         while i < n and placed & down[i] != pred[i]:
             i += 1

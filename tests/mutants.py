@@ -173,6 +173,32 @@ MUTANTS = [
     Mutant("formats.py", "(left.strip(), right.strip()) for left", "(left.strip(), right) for left",
            ("tests/test_formats.py", "-k", "TestParseRelation or TestReadersMatchReference"),
            "a pair's right token kept unstripped", "Incomparable pairs written a row at a time"),
+    # The enumeration walk's table of tails.
+    Mutant("extension.py", "for m in bits(up) if not pred[m] & up", "for m in reversed(bits(up)) if not pred[m] & up",
+           ("tests/test_extension.py", "-k", "TestWalkMatchesTheStepwiseWalk"),
+           "a tail's first element taken in descending position", "Tails of at most four unplaced elements"),
+    Mutant("extension.py", "for m in bits(up) if not pred[m] & up for rest", "for m in bits(up) for rest",
+           ("tests/test_extension.py", "-k", "TestWalkMatchesTheStepwiseWalk"),
+           "a tail may start at an element that is not minimal", "Tails of at most four unplaced elements"),
+    Mutant("extension.py", "                table.clear()\n", "                pass\n",
+           ("tests/test_extension.py", "-k", "TestTheTableOfTailsIsBounded"),
+           "the table of tails is never cleared", "Tails of at most four unplaced elements"),
+    # Library results assembled without a second verification (`TestVerifyOnce`).
+    Mutant("core.py", "    return _closed_poset(nodes, succ, pred, cover)\n",
+           "    return Poset(nodes, [(nodes[i], nodes[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
+           ("tests/test_core.py", "-k", "TestVerifyOnce"), "`_close` builds its poset through `Poset(...)`",
+           "Tails of at most four unplaced elements"),
+    Mutant("core.py", "    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), rows))\n",
+           "    return Poset(sub, [(sub[i], sub[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
+           ("tests/test_core.py", "-k", "TestVerifyOnce"), "`restrict` builds its poset through `Poset(...)`",
+           "Tails of at most four unplaced elements"),
+    Mutant("extension.py", "    return _closed_poset(poset.ground, succ, pred, cover)\n",
+           "    g = poset.ground\n    return Poset(g, [(g[i], g[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
+           ("tests/test_core.py", "-k", "TestVerifyOnce"), "`extend_with_pair` builds its poset through `Poset(...)`",
+           "Tails of at most four unplaced elements"),
+    Mutant("core.py", "        return Poset(ground, pairs)\n", "        return Poset(Poset(ground, pairs).ground, pairs)\n",
+           ("tests/test_core.py", "-k", "TestVerifyOnce"), "`validate` without closing verifies twice",
+           "Tails of at most four unplaced elements"),
 ]
 
 

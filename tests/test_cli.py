@@ -830,7 +830,8 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("text", [
         "a\nb\nc\nd\ne\n---\n",  # 120 orders, one free maximal tail from the start
         "a\nb\nc\nd\ne\nf\ng\n---\na < b\n",  # 2,520 orders; the first tail starts once a is placed
-    ], ids=["antichain", "tail-partway"])
+        "a\nb\nc\nd\n---\na < b\n",  # 12 orders, read from the walk's table of tails from the start
+    ], ids=["antichain", "tail-partway", "table"])
     def test_enumerate(self, tmp_path, monkeypatch, closed_stdout, text):
         drawn = []
         walk = ordext.extension._extensions

@@ -2,8 +2,11 @@
 
 import random
 import sys
+import tracemalloc
+from collections import deque
 from contextlib import contextmanager
-from math import factorial, prod
+from itertools import islice
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,7 +34,7 @@ from ordext import (
 )
 from ordext.core import bits
 from ordext.errors import _decimal, _integer
-from ordext.extension import _extensions
+from ordext.extension import _TAILS_CAP, _extensions
 
 from helpers import (
     antichain,
@@ -85,6 +88,49 @@ def ordinal_sum(parts):
         pairs.extend((x, y) for x in ground for y in names)
         ground.extend(names)
     return validate(ground, pairs)
+
+
+def rooted_forest(rng, n, max_downsets):
+    """A random forest on n elements, each parent below its children: its covers, with the
+    ground shuffled, and its count by the hook-length formula, n! / ∏ subtree sizes.  Drawn
+    again until the forest has at most `max_downsets` downsets."""
+    while True:
+        parent = [rng.choice([None, *range(max(0, i - 3), i)]) for i in range(n)]
+        size, downsets = [1] * n, [1] * n  # a subtree's downsets: none of it, or its root and some of each child's
+        for i in reversed(range(n)):
+            downsets[i] += 1
+            if parent[i] is not None:
+                size[parent[i]] += size[i]
+                downsets[parent[i]] *= downsets[i]
+        if prod(d for d, p in zip(downsets, parent) if p is None) <= max_downsets:
+            break
+    ground = [f"t{i}" for i in range(n)]
+    covers = [(ground[p], ground[i]) for i, p in enumerate(parent) if p is not None]
+    return rng.sample(ground, n), covers, factorial(n) // prod(size)
+
+
+def series_parallel(rng, n, max_downsets):
+    """A random series-parallel poset on n elements: its closed pairs, with the ground
+    shuffled, and its count by the decomposition, e(P)·e(Q) for an ordinal sum and
+    e(P)·e(Q)·C(|P| + |Q|, |P|) for a disjoint one.  Drawn again until it has at most
+    `max_downsets` downsets, D(P) + D(Q) - 1 for a sum and D(P)·D(Q) for a union."""
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return [], 1, 2
+        cut = rng.randrange(lo + 1, hi)
+        (lower, e_lower, d_lower), (upper, e_upper, d_upper) = build(lo, cut), build(cut, hi)
+        if rng.random() < 0.6:
+            across = [(x, y) for x in range(lo, cut) for y in range(cut, hi)]
+            return lower + upper + across, e_lower * e_upper, d_lower + d_upper - 1
+        return lower + upper, e_lower * e_upper * comb(hi - lo, cut - lo), d_lower * d_upper
+
+    while True:
+        pairs, count, downsets = build(0, n) if n else ([], 1, 1)
+        if downsets <= max_downsets:
+            break
+    ground = [f"s{i}" for i in range(n)]
+    return rng.sample(ground, n), [(ground[x], ground[y]) for x, y in pairs], count
 
 
 def verified_enumeration(sequences, limit):
@@ -349,16 +395,72 @@ class TestWideAntichains:
 
 
 class TestWalkMatchesTheStepwiseWalk:
-    """Listing each free maximal tail by `permutations` hands out exactly the orders, in the
-    same order, of the walk that steps through every level one position at a time."""
+    """Listing each free maximal tail by `permutations`, and reading each other tail of at most
+    four positions from the walk's table, hands out exactly the orders, in the same order, of
+    the walk that steps through every level one position at a time."""
+
+    @staticmethod
+    def poset(n, density, seed, tops_first):
+        poset = random_poset(random.Random(seed), n, density)
+        if tops_first:  # the ground listed in the reverse of a linear extension: maximal elements first
+            poset = validate(linear_extension(poset).sequence[::-1], poset.relation)
+        return poset
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.integers(0, 9), st.floats(0, 0.6), st.integers(0, 2**32), st.booleans())
     def test_random_posets(self, n, density, seed, tops_first):
-        poset = random_poset(random.Random(seed), n, density)
-        if tops_first:  # the ground listed in the reverse of a linear extension: maximal elements first
-            poset = validate(linear_extension(poset).sequence[::-1], poset.relation)
+        poset = self.poset(n, density, seed, tops_first)
         assert list(_extensions(poset)) == list(extensions_by_walk(poset))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(10, 16), st.floats(0, 0.6), st.integers(0, 2**32), st.booleans())
+    def test_first_orders_of_larger_posets(self, n, density, seed, tops_first):
+        poset = self.poset(n, density, seed, tops_first)
+        assert list(islice(_extensions(poset), 3000)) == list(islice(extensions_by_walk(poset), 3000))
+
+    def test_a_table_cleared_at_every_insert(self, monkeypatch):
+        rng = random.Random(40)
+        posets = [self.poset(rng.randrange(4, 17), rng.uniform(0, 0.6), rng.randrange(2**32), rng.random() < 0.5)
+                  for _ in range(40)]
+        want = [list(islice(_extensions(poset), 3000)) for poset in posets]
+        monkeypatch.setattr("ordext.extension._TAILS_CAP", 1)
+        assert [list(islice(_extensions(poset), 3000)) for poset in posets] == want
+
+
+class TestTheTableOfTailsIsBounded:
+    """The walk keeps at most `_TAILS_CAP` upsets in its table of tails, however many orders it
+    hands out, so a streamed enumeration's memory does not grow with the orders it lists."""
+
+    @staticmethod
+    def hashes_and_table_sizes(poset, count):
+        """The hash of each of the walk's first `count` orders, and its table's size after each."""
+        walk = _extensions(poset)
+        first = next(walk)
+        table = walk.gi_frame.f_locals["table"]  # made before the first order
+        return [(hash(first), len(table)), *((hash(order), len(table)) for order in islice(walk, count - 1))]
+
+    def test_the_table_is_cleared_at_the_cap(self, monkeypatch):
+        # 40 disjoint 2-chains: their first 10^5 orders reach 91 upsets of at most four positions.
+        poset = disjoint_chains([2] * 40)
+        want = self.hashes_and_table_sizes(poset, 10**5)
+        assert 16 < max(size for _, size in want) <= _TAILS_CAP
+        monkeypatch.setattr("ordext.extension._TAILS_CAP", 16)
+        got = self.hashes_and_table_sizes(poset, 10**5)
+        assert [order for order, _ in got] == [order for order, _ in want]
+        assert max(size for _, size in got) == 16
+
+    def test_streaming_holds_no_more_than_the_table(self):
+        # Each order is dropped before the next is drawn, so the 10^5 orders, about 70 MB in all,
+        # never add up.  A full table of 1,024 upsets, each of at most 12 tails of four tokens,
+        # takes about 1.1 MB; with the 91 upsets of these orders the walk peaks at about 60 KB.
+        poset = disjoint_chains([2] * 40)
+        tracemalloc.start()
+        try:
+            deque(islice(_extensions(poset), 10**5), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250_000
 
 
 class TestEnumeratedOrdersMatchVerifiedOnes:
@@ -731,6 +833,39 @@ class TestCount:
             parts = [random_poset(rng, rng.randrange(0, 7)) for _ in range(rng.randrange(1, 4))]
             want = prod(len(extensions_by_filter(part)) for part in parts)
             assert count_linear_extensions(ordinal_sum(parts)) == want
+
+    # The closed forms below hold at any size.  At n = 17-20 the shapes are drawn with few
+    # downsets, so the DP finishes quickly; at n <= 9 the enumeration, whose tails of at most
+    # four elements come from its table, must list as many orders.
+    CLOSED_FORM_SIZES = [*range(17, 21), *range(17, 21), *range(17, 21), *range(0, 10)]
+
+    @staticmethod
+    def check_closed_form(poset, want):
+        assert count_linear_extensions(poset) == want
+        if len(poset.ground) <= 9:
+            assert len(enumerate_linear_extensions(poset)) == want
+
+    def test_rooted_forests_and_their_duals_count_the_hook_length(self):
+        rng = random.Random(41)
+        for n in self.CLOSED_FORM_SIZES:
+            ground, covers, want = rooted_forest(rng, n, max_downsets=20_000)
+            self.check_closed_form(validate(ground, covers, auto_close=True), want)
+            self.check_closed_form(validate(ground, [(y, x) for x, y in covers], auto_close=True), want)
+
+    def test_ordinal_sums_of_antichains_count_the_product_of_factorials(self):
+        rng = random.Random(42)
+        for n in self.CLOSED_FORM_SIZES:
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(rng.randint(1, min(8, n - sum(sizes))))
+            poset = ordinal_sum([antichain(size) for size in sizes])
+            self.check_closed_form(validate(rng.sample(poset.ground, n), poset.relation), prod(map(factorial, sizes)))
+
+    def test_series_parallel_posets_count_by_their_decomposition(self):
+        rng = random.Random(43)
+        for n in self.CLOSED_FORM_SIZES:
+            ground, pairs, want = series_parallel(rng, n, max_downsets=20_000)
+            self.check_closed_form(validate(ground, pairs), want)
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(37)
