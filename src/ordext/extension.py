@@ -9,15 +9,15 @@ re-check, whose input relation is built when first read.  Enumeration
 walks every removal order, listing each free maximal tail (an unplaced
 upset that is an antichain) by `permutations` and the orders of any
 other upset of at most four elements from a table of tails kept for
-one walk, at most 1,024 upsets of at most 12 tails each, cleared when
-full; a downset DP counts them per comparability component.  Both
-cross-examine the fast path, whose results are correct by
-construction, built without a second check.
+one walk, at most 1,024 upsets of at most 12 tails each, the least
+recently used dropped when full; a downset DP counts them per
+comparability component.  Both cross-examine the fast path, whose
+results are correct by construction, built without a second check.
 """
 
 import sys
 from bisect import insort
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, permutations
 from math import comb
 from typing import TYPE_CHECKING, Iterator
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # a policy given is already loaded, and without one none is n
     from .policy import TieBreakPolicy
 
 _TAIL = 4  # the enumeration walk reads orders of at most this many unplaced positions from its table
-_TAILS_CAP = 1024  # upsets the table holds before it is cleared
+_TAILS_CAP = 1024  # upsets the table holds; past it the least recently used is dropped
 
 
 class ForcedPair(_Record):
@@ -199,35 +199,27 @@ def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
     private to the walk: each minimal element of U, ascending, before
     each tail of U without it.  The table holds at most `_TAILS_CAP`
     upsets, each of at most 4!/2 = 12 tails of at most `_TAIL` tokens,
-    and is cleared when full.  Each order is found when it is asked for,
-    in O(n) memory and with no depth limit.
+    and drops the least recently used upset when full.  Each order is
+    found when it is asked for, in O(n) memory and with no depth limit.
     """
     g, pred = poset.ground, poset.pred
     n = len(g)
     down = [mask | 1 << i for i, mask in enumerate(pred)]
     inner = sum(1 << i for i, mask in enumerate(poset.succ) if mask)
     full = (1 << n) - 1
-    table: dict[int, list[tuple[str, ...]]] = {}
 
+    @lru_cache(_TAILS_CAP)
     def tails(up: int) -> list[tuple[str, ...]]:
-        if up not in table:
-            ways = [(g[m], *rest) for m in bits(up) if not pred[m] & up for rest in tails(up ^ 1 << m)] if up else [()]
-            if len(table) >= _TAILS_CAP:
-                table.clear()
-            table[up] = ways
-        return table[up]
+        return [(g[m], *rest) for m in bits(up) if not pred[m] & up for rest in tails(up ^ 1 << m)] if up else [()]
 
     prefix: list[int] = []
     tokens: list[str] = []
     placed = 0
     i = 0
     while True:
-        if placed & inner == inner:
-            rest = [g[j] for j in bits(placed ^ full)]
-            yield from map(tuple(tokens).__add__, permutations(rest))
-            i = n
-        elif len(prefix) >= n - _TAIL:
-            yield from map(tuple(tokens).__add__, tails(placed ^ full))
+        if placed & inner == inner or len(prefix) >= n - _TAIL:
+            up = placed ^ full
+            yield from map(tuple(tokens).__add__, tails(up) if up & inner else permutations([g[j] for j in bits(up)]))
             i = n
         while i < n and placed & down[i] != pred[i]:
             i += 1
@@ -285,7 +277,7 @@ def count_linear_extensions(poset: Poset, cap: int | None = None) -> int:
     succ, pred = poset.succ, poset.pred
     down = [mask | 1 << i for i, mask in enumerate(pred)]
 
-    total, placed, unassigned = 1, 0, (1 << n) - 1
+    total, unassigned = 1, (1 << n) - 1
     while unassigned:
         component = frontier = unassigned & -unassigned
         while frontier:
@@ -306,6 +298,5 @@ def count_linear_extensions(poset: Poset, cap: int | None = None) -> int:
                         grown = mask | 1 << i
                         nxt[grown] = nxt.get(grown, 0) + ways
             current = nxt
-        placed += len(members)
-        total *= current[component] * comb(placed, len(members))
+        total *= current[component] * comb(n - unassigned.bit_count(), len(members))
     return total

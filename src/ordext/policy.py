@@ -20,7 +20,7 @@ standard two-round xor-shift-multiply mix (0xBF58476D1CE4E5B9 then
 0x94D049BB133111EB, final shift 31); shuffle draw i uses
 ``next() % (i + 1)``, walking i from the last index down to 1.  A choice
 among k candidates spends k - 1 draws.  How the draws are computed is
-not contract: draw t depends on nothing but the state and t (Steele, Lea
+not contract: draw t depends on nothing but the seed and t (Steele, Lea
 and Flood 2014), so :class:`_SplitMix64` computes them ahead, in blocks of
 128-bit lanes of one int, into one buffer per run kept in stream order,
 which :meth:`_SplitMix64.draws` alone reads; :meth:`TieBreaker._first`
@@ -35,6 +35,7 @@ as input order itself, so without a policy it never loads this module.
 """
 
 import sys
+from functools import cache
 from itertools import chain
 from operator import mod
 
@@ -50,30 +51,28 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Lanes per block of draws: bounds the lane constants and each block's ints.
 _BLOCK = 1024
 
-# Per lane count (a power of two from 16 up to _BLOCK): ONES with 1 in every 128-bit lane, RAMP with
-# t * _GOLDEN in lane t (unreduced, below 2**76), LOW with the low 64 bits of each lane set, and STEP
-# with n * _GOLDEN (reduced) in every lane of n, which moves a block's unmixed lanes on to the next
-# block's.  Built on first use, so importing costs nothing.
-_LANES: dict[int, tuple[int, int, int, int]] = {}
-
 # The low halves of the lanes, lane 0 first, among the 64-bit words of the lanes' bytes in each
 # byte order: a little-endian int puts lane t's low word at 2t, a big-endian one lane 0's last.
 _IN_ORDER = {"little": slice(None, None, 2), "big": slice(None, None, -2)}
 _LOW_WORDS = _IN_ORDER[sys.byteorder]
 
 
+# Per lane count (a power of two from 16 up to _BLOCK): ONES with 1 in every 128-bit lane, RAMP with
+# t * _GOLDEN in lane t (unreduced, below 2**76), LOW with the low 64 bits of each lane set, and STEP
+# with n * _GOLDEN (reduced) in every lane of n, which moves a block's unmixed lanes on to the next
+# block's.  Built on first use and kept by `functools.cache`, so importing costs nothing.
+@cache
 def _lanes(n: int) -> tuple[int, int, int, int]:
-    """Build and cache the lane constants for n lanes, in time linear in n."""
+    """The lane constants ONES, RAMP, LOW and STEP for n lanes, built in time linear in n."""
     ones = ((1 << 128 * n) - 1) // ((1 << 128) - 1)
     ramp = int.from_bytes(b"".join((t * _GOLDEN).to_bytes(16, "little") for t in range(n)), "little")
-    _LANES[n] = ones, ramp, ones * _MASK64, (n * _GOLDEN & _MASK64) * ones
-    return _LANES[n]
+    return ones, ramp, ones * _MASK64, (n * _GOLDEN & _MASK64) * ones
 
 
 class _SplitMix64:
     """The committed 64-bit mixing generator behind the seeded policy.
 
-    The t-th draw from state s mixes s + t * golden alone, so draws are
+    Draw t (from 1) of seed s mixes s + t * golden alone, so draws are
     independent of one another and are computed ahead, in blocks, into one
     buffer per run: a view of the last block's words in stream order, read
     out as ints only when spent.  A block gives each draw its own 128-bit lane
@@ -88,22 +87,21 @@ class _SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64  # the state the next block starts from
+        self._seed = seed & _MASK64
         self._ahead = memoryview(b"").cast("Q")  # draws made and not yet spent, the next one first
-        self._made = 0
+        self._made = 0  # draws made, spent or not: the next block starts at draw _made + 1
         self._lanes = 0  # the width of the last block, whose unmixed lanes are _unmixed
         self._unmixed = 0
 
     def _block(self, short: int) -> memoryview:
         """The next block's draws, in stream order, as words, for a run `short` draws short."""
         lanes = min(_BLOCK, 1 << (max(short, self._made >> 2, 16) - 1).bit_length())
-        ones, ramp, low, step = _LANES.get(lanes) or _lanes(lanes)
+        ones, ramp, low, step = _lanes(lanes)
         if lanes == self._lanes:  # one wide add in place of the wide multiply below
             z = (self._unmixed + step) & low
         else:
-            z = (((self._state + _GOLDEN) & _MASK64) * ones + ramp) & low
+            z = (((self._seed + (self._made + 1) * _GOLDEN) & _MASK64) * ones + ramp) & low
         self._lanes, self._unmixed = lanes, z
-        self._state = (self._state + lanes * _GOLDEN) & _MASK64
         self._made += lanes
         z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low

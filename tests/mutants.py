@@ -180,9 +180,9 @@ MUTANTS = [
     Mutant("extension.py", "for m in bits(up) if not pred[m] & up for rest", "for m in bits(up) for rest",
            ("tests/test_extension.py", "-k", "TestWalkMatchesTheStepwiseWalk"),
            "a tail may start at an element that is not minimal", "Tails of at most four unplaced elements"),
-    Mutant("extension.py", "                table.clear()\n", "                pass\n",
+    Mutant("extension.py", "lru_cache(_TAILS_CAP)", "lru_cache(None)",
            ("tests/test_extension.py", "-k", "TestTheTableOfTailsIsBounded"),
-           "the table of tails is never cleared", "Tails of at most four unplaced elements"),
+           "the table of tails is unbounded", "Hand-kept caches and twice-kept state dropped"),
     # Library results assembled without a second verification (`TestVerifyOnce`).
     Mutant("core.py", "    return _closed_poset(nodes, succ, pred, cover)\n",
            "    return Poset(nodes, [(nodes[i], nodes[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
@@ -199,6 +199,14 @@ MUTANTS = [
     Mutant("core.py", "        return Poset(ground, pairs)\n", "        return Poset(Poset(ground, pairs).ground, pairs)\n",
            ("tests/test_core.py", "-k", "TestVerifyOnce"), "`validate` without closing verifies twice",
            "Tails of at most four unplaced elements"),
+    # State read off what is kept once: the stream's position off its seed, the count's placed
+    # elements off the unassigned mask.
+    Mutant("policy.py", "(self._made + 1) * _GOLDEN", "self._made * _GOLDEN",
+           ("tests/test_policy.py", "-k", "reference"), "a block starts one draw early",
+           "Hand-kept caches and twice-kept state dropped"),
+    Mutant("extension.py", "comb(n - unassigned.bit_count(), len(members))", "comb(n, len(members))",
+           ("tests/test_extension.py", "-k", "TestCount"), "a component interleaved with the whole ground",
+           "Hand-kept caches and twice-kept state dropped"),
 ]
 
 

@@ -6,7 +6,7 @@ import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -444,6 +444,66 @@ class TestClosure:
         with pytest.raises(ClosureCreatesReflexivePair) as info:
             _close(nodes, *read, ClosureCreatesReflexivePair, starts)
         assert list(info.value.cycle) == want
+
+    @staticmethod
+    def assert_witnesses(ground, pairs, want=None):
+        """`validate(auto_close=True)` over `ground` and `transitive_closure` over `ground` and over
+        its default lexicographic order each name the cycle a search of every node in turn finds."""
+        tokens = sorted({tok for pair in pairs for tok in pair})
+        for nodes, error, close in (
+            (ground, AntisymmetryViolation, lambda: validate(ground, pairs, auto_close=True)),
+            (ground, ClosureCreatesReflexivePair, lambda: transitive_closure(pairs, node_order=ground)),
+            (tokens, ClosureCreatesReflexivePair, lambda: transitive_closure(pairs)),
+        ):
+            if want is None:
+                index = {tok: i for i, tok in enumerate(nodes)}
+                succ = [0] * len(nodes)
+                for x, y in pairs:
+                    succ[index[x]] |= 1 << index[y]
+                expected = shortest_cycle_by_search(nodes, succ, range(len(nodes)))
+            else:
+                expected = want(nodes)
+            with pytest.raises(error) as info:
+                close()
+            assert list(info.value.cycle) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.lists(st.integers(2, 30), min_size=1, max_size=4), st.integers(0, 8), st.integers(0, 2**32))
+    def test_cycle_witness_of_disjoint_simple_cycles(self, lengths, outside, seed):
+        # Disjoint simple cycles over random names, so that the lexicographic order and the shuffled
+        # ground both mix them.  Pairs run only forward along a list of units, each an `outside` node
+        # or one cycle, so they run into and out of the cycles and close no other cycle.  Some pairs
+        # are repeated, and all are read in shuffled order.
+        rng = random.Random(seed)
+        ground = [f"v{k}" for k in rng.sample(range(10**6), sum(lengths) + outside)]
+        names = iter(ground)
+        cycles = [list(islice(names, length)) for length in lengths]
+        units = [[tok] for tok in names]
+        cut = rng.randint(0, outside)
+        units[cut:cut] = cycles
+        pairs = [(cycle[k - 1], cycle[k]) for cycle in cycles for k in range(len(cycle))]
+        for a, b in combinations(units, 2):
+            if rng.random() < 0.4:
+                pairs += [(rng.choice(a), rng.choice(b)) for _ in range(rng.randint(1, 3))]
+        pairs += rng.choices(pairs, k=rng.randrange(len(pairs) + 1))
+        rng.shuffle(pairs)
+        rng.shuffle(ground)
+        self.assert_witnesses(ground, pairs)
+
+    def test_cycle_witness_of_one_long_cycle(self):
+        # One cycle through all 300 nodes: every search finds all of it, so the first start's is kept,
+        # read along the cycle from the first node of the order.
+        rng = random.Random(300)
+        cycle = [f"v{k}" for k in rng.sample(range(10**6), 300)]
+        pairs = [(cycle[k - 1], cycle[k]) for k in range(300)]
+        rng.shuffle(pairs)
+        ground = rng.sample(cycle, 300)
+
+        def around(nodes):
+            k = cycle.index(nodes[0])
+            return cycle[k:] + cycle[: k + 1]
+
+        self.assert_witnesses(ground, pairs, around)
 
 
 class TestRestrict:

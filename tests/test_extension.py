@@ -432,27 +432,28 @@ class TestTheTableOfTailsIsBounded:
     hands out, so a streamed enumeration's memory does not grow with the orders it lists."""
 
     @staticmethod
-    def hashes_and_table_sizes(poset, count):
-        """The hash of each of the walk's first `count` orders, and its table's size after each."""
+    def hashes_and_table(poset, count):
+        """The hash of each of the walk's first `count` orders, with its table's `cache_info()` after it."""
         walk = _extensions(poset)
         first = next(walk)
-        table = walk.gi_frame.f_locals["table"]  # made before the first order
-        return [(hash(first), len(table)), *((hash(order), len(table)) for order in islice(walk, count - 1))]
+        info = walk.gi_frame.f_locals["tails"].cache_info  # made before the first order
+        return [(hash(first), info()), *((hash(order), info()) for order in islice(walk, count - 1))]
 
-    def test_the_table_is_cleared_at_the_cap(self, monkeypatch):
+    def test_the_table_drops_upsets_at_the_cap(self, monkeypatch):
         # 40 disjoint 2-chains: their first 10^5 orders reach 91 upsets of at most four positions.
         poset = disjoint_chains([2] * 40)
-        want = self.hashes_and_table_sizes(poset, 10**5)
-        assert 16 < max(size for _, size in want) <= _TAILS_CAP
+        want = self.hashes_and_table(poset, 10**5)
+        assert {info.maxsize for _, info in want} == {_TAILS_CAP}
+        assert 16 < max(info.currsize for _, info in want) <= _TAILS_CAP
         monkeypatch.setattr("ordext.extension._TAILS_CAP", 16)
-        got = self.hashes_and_table_sizes(poset, 10**5)
+        got = self.hashes_and_table(poset, 10**5)
         assert [order for order, _ in got] == [order for order, _ in want]
-        assert max(size for _, size in got) == 16
+        assert max(info.currsize for _, info in got) == 16
 
     def test_streaming_holds_no_more_than_the_table(self):
         # Each order is dropped before the next is drawn, so the 10^5 orders, about 70 MB in all,
         # never add up.  A full table of 1,024 upsets, each of at most 12 tails of four tokens,
-        # takes about 1.1 MB; with the 91 upsets of these orders the walk peaks at about 60 KB.
+        # takes about 1.2 MB; with the 91 upsets of these orders the walk peaks at about 65 KB.
         poset = disjoint_chains([2] * 40)
         tracemalloc.start()
         try:

@@ -122,7 +122,7 @@ class TestGenerator:
 
     def test_import_builds_no_lane_constants(self):
         # The lane constants are built on the first seeded draw, not at start-up.
-        code = "import ordext.cli, ordext.policy; print(len(ordext.policy._LANES))"
+        code = "import ordext.cli, ordext.policy; print(ordext.policy._lanes.cache_info().currsize)"
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert run.stdout == "0\n"
 
