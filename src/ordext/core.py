@@ -28,7 +28,7 @@ construction and every operation is a pure function of its inputs.
 
 from collections import deque
 from functools import cached_property
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -462,7 +462,4 @@ def incomparable_pairs(poset: Poset) -> list[Pair]:
 
     Empty exactly when the poset is already total.
     """
-    out: list[Pair] = []
-    for x, row in _incomparable_rows(poset):
-        out += zip(repeat(x), row)
-    return out
+    return list(chain.from_iterable(zip(repeat(x), row) for x, row in _incomparable_rows(poset)))

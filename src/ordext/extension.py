@@ -184,25 +184,26 @@ def szpilrajn(
 def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
     """Token tuples of all linear extensions, lexicographic by ground position.
 
-    The prefix of placed positions is the only stack, its tokens pushed
-    and popped with it.  It grows by the first unplaced position i with
-    every predecessor placed, `placed & down[i] == pred[i]`; positions
-    below the lowest unplaced one are placed and fail that test, so after
-    a push the scan starts there.  To backtrack, pop the last position k
-    and resume the scan at k + 1.  The placed set is a downset, so the
-    unplaced set U is an upset, and an antichain exactly when every
-    `inner` (non-maximal) position is placed.  Then the scan admits all
-    of U at every level, so the orders below are `permutations` of U's
-    tokens in ascending position, handed out in C.  Otherwise, once at
-    most `_TAIL` positions are unplaced, the orders below depend on U
-    alone (Stanley, EC1 ch. 3), so they are read from a table of tails
-    private to the walk: each minimal element of U, ascending, before
-    each tail of U without it.  The table holds at most `_TAILS_CAP`
-    upsets, each of at most 4!/2 = 12 tails of at most `_TAIL` tokens,
-    and drops the least recently used upset when full.  Each order is
-    found when it is asked for, in O(n) memory and with no depth limit.
+    The placed tokens are the only stack.  It grows by the token of the
+    first unplaced position i with every predecessor placed, `placed &
+    down[i] == pred[i]`; positions below the lowest unplaced one are
+    placed and fail that test, so after a push the scan starts there.  To
+    backtrack, pop the last token, read its position k off the ground
+    index (tokens are distinct), and resume the scan at k + 1.  The placed
+    set is a downset, so the unplaced set U is an upset, and an antichain
+    exactly when every `inner` (non-maximal) position is placed.  Then the
+    scan admits all of U at every level, so the orders below are
+    `permutations` of U's tokens in ascending position, handed out in C.
+    Otherwise, once at most `_TAIL` positions are unplaced, the orders
+    below depend on U alone (Stanley, EC1 ch. 3), so they are read from a
+    table of tails private to the walk: each minimal element of U,
+    ascending, before each tail of U without it.  The table holds at most
+    `_TAILS_CAP` upsets, each of at most 4!/2 = 12 tails of at most
+    `_TAIL` tokens, and drops the least recently used upset when full.
+    Each order is found when it is asked for, in O(n) memory and with no
+    depth limit.
     """
-    g, pred = poset.ground, poset.pred
+    g, pred, index = poset.ground, poset.pred, poset.ground_index
     n = len(g)
     down = [mask | 1 << i for i, mask in enumerate(pred)]
     inner = sum(1 << i for i, mask in enumerate(poset.succ) if mask)
@@ -212,25 +213,22 @@ def _extensions(poset: Poset) -> Iterator[tuple[str, ...]]:
     def tails(up: int) -> list[tuple[str, ...]]:
         return [(g[m], *rest) for m in bits(up) if not pred[m] & up for rest in tails(up ^ 1 << m)] if up else [()]
 
-    prefix: list[int] = []
     tokens: list[str] = []
     placed = 0
     i = 0
     while True:
-        if placed & inner == inner or len(prefix) >= n - _TAIL:
+        if placed & inner == inner or len(tokens) >= n - _TAIL:
             up = placed ^ full
             yield from map(tuple(tokens).__add__, tails(up) if up & inner else permutations([g[j] for j in bits(up)]))
             i = n
         while i < n and placed & down[i] != pred[i]:
             i += 1
         if i < n:
-            prefix.append(i)
             tokens.append(g[i])
             placed |= 1 << i
             i = (~placed & (placed + 1)).bit_length() - 1
-        elif prefix:
-            i = prefix.pop()
-            del tokens[-1]
+        elif tokens:
+            i = index[tokens.pop()]
             placed ^= 1 << i
             i += 1
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import FrozenInstanceError
+from math import factorial, prod
 
 import pytest
 
@@ -70,6 +71,19 @@ def scale_input(rng: random.Random, family: str, n: int):
     ground = hidden.copy()
     rng.shuffle(ground)
     return ground, pairs, set(covers)
+
+
+def ordinal_sum_of_antichains(rng: random.Random, n: int, largest: int):
+    """An ordinal sum of antichains of 1 to `largest` elements, n elements in all: its shuffled
+    ground, the covers from each part to the next, and its count, the product of the parts'
+    factorials."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(largest, n - sum(sizes))))
+    names = iter(f"o{k}" for k in range(n))
+    parts = [[next(names) for _ in range(size)] for size in sizes]
+    covers = [(x, y) for low, high in zip(parts, parts[1:]) for x in low for y in high]
+    return rng.sample([x for part in parts for x in part], n), covers, prod(map(factorial, sizes))
 
 
 def assert_matches_verified(poset: Poset) -> None:

@@ -9,7 +9,10 @@ recorded it (the start of its bold title).  Each mutant is
 planted in a temporary copy of `src/` (with `tests/` and `pyproject.toml`
 beside it, so that the tests and the CLI processes they start import the
 copy), never in the checkout, and its tests are run there by pytest.  A
-mutant is killed when that run ends with a failed test (exit status 1).
+mutant is killed when that run ends with a failed test (exit status 1)
+within `TIMEOUT` seconds; one that runs longer is stopped and not killed.
+The run may map at most `MEMORY` bytes, so a fault that grows a list
+without end fails its test rather than the machine.
 The script exits 1 when an old text does not occur exactly once or a
 mutant is not killed, else 0.  A
 change that rewrites a mutated line edits its entry here in the same
@@ -19,6 +22,7 @@ delete.  `test_mutants.py` checks the old texts alone, in tier-1.
 
 from __future__ import annotations
 
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,6 +32,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 180  # seconds one mutant's tests may run; a mutant that makes them loop is not killed
+MEMORY = 1 << 30  # bytes of address space they may map, so a loop that fills a list ends in MemoryError
 
 
 class Mutant(NamedTuple):
@@ -207,6 +213,13 @@ MUTANTS = [
     Mutant("extension.py", "comb(n - unassigned.bit_count(), len(members))", "comb(n, len(members))",
            ("tests/test_extension.py", "-k", "TestCount"), "a component interleaved with the whole ground",
            "Hand-kept caches and twice-kept state dropped"),
+    # The walk's one stack of tokens, and incomparable pairs built in C.
+    Mutant("extension.py", "i = index[tokens.pop()]", "i = index[tokens.pop()] + 1",
+           ("tests/test_extension.py", "-k", "TestWalkMatchesTheStepwiseWalk"),
+           "a backtrack resumes the scan one position late", "One stack for the enumeration walk"),
+    Mutant("core.py", "zip(repeat(x), row) for x, row", "zip(row, repeat(x)) for x, row",
+           ("tests/test_core.py", "-k", "incomparable"), "each incomparable pair listed in reverse",
+           "One stack for the enumeration walk"),
 ]
 
 
@@ -217,7 +230,8 @@ def occurrences(mutant: Mutant) -> int:
 
 def outcome(mutant: Mutant) -> str:
     """`killed` when the mutant's tests fail on a temporary copy of the tree with the mutant planted,
-    `SURVIVED` when they pass, and pytest's exit status for any other end, such as no test selected."""
+    `SURVIVED` when they pass, `timed out` when they run past `TIMEOUT`, and pytest's exit status for
+    any other end, such as no test selected."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name in ("src", "tests"):
@@ -226,7 +240,12 @@ def outcome(mutant: Mutant) -> str:
         target = root / "src" / "ordext" / mutant.module
         target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
-        code = subprocess.run(argv, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        try:
+            code = subprocess.run(argv, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                  timeout=TIMEOUT,
+                                  preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))).returncode
+        except subprocess.TimeoutExpired:
+            return "timed out"
     return {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
 
 
@@ -237,7 +256,7 @@ def main() -> int:
         found = occurrences(mutant)
         verdict = outcome(mutant) if found == 1 else f"old text found {found} times"
         bad += verdict != "killed"
-        print(f"{verdict:>8}  {time.perf_counter() - start:5.1f} s  {mutant.module}: {mutant.fault}", flush=True)
+        print(f"{verdict:>9}  {time.perf_counter() - start:5.1f} s  {mutant.module}: {mutant.fault}", flush=True)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed", file=sys.stderr)
     return 1 if bad else 0
 

@@ -18,7 +18,7 @@ from ordext import cli
 from ordext import ForcedPair, Poset, TieBreakPolicy, format_relation, parse_relation, szpilrajn, validate
 from ordext.cli import COMMANDS, build_parser, main
 
-from helpers import random_pairs
+from helpers import ordinal_sum_of_antichains, random_pairs
 from oracles import incomparable_by_double_loop
 
 CHAIN = "a < b\nb < c\n"
@@ -366,6 +366,12 @@ class TestCount:
         code, out, _ = run("count", "--cap", "25", "r", files={"r": text})
         assert code == 0
         assert out == "1\n"
+
+    @pytest.mark.parametrize("n, largest, cap", [(150, 3, "150"), (600, 3, "600"), (1500, 1, "5000")])
+    def test_ordinal_sum_of_small_antichains_past_the_cap(self, run, n, largest, cap):
+        ground, covers, want = ordinal_sum_of_antichains(random.Random(n), n, largest)
+        text = "".join(f"{x}\n" for x in ground) + "---\n" + "".join(f"{x} < {y}\n" for x, y in covers)
+        assert run("count", "--cap", cap, "r", files={"r": text}) == (0, f"{want}\n", "")
 
 
 @pytest.mark.usefixtures("digit_cap_untouched")

@@ -1,5 +1,6 @@
 """Extension pipeline and its two oracles."""
 
+import gc
 import random
 import sys
 import tracemalloc
@@ -42,6 +43,7 @@ from helpers import (
     assert_order_matches_verified,
     chain,
     diamond,
+    ordinal_sum_of_antichains,
     random_policy,
     random_poset,
     scale_input,
@@ -463,6 +465,23 @@ class TestTheTableOfTailsIsBounded:
             tracemalloc.stop()
         assert peak < 250_000
 
+    def test_the_walk_holds_only_its_table_after_streaming(self):
+        # The peak above also counts the interpreter's free lists of tuples.  A full collection
+        # empties them, so what is still allocated then is what the live walk keeps: its table of
+        # 91 upsets and its stack, about 72 KB on Python 3.11, bounded here with 28 KB to spare.
+        poset = disjoint_chains([2] * 40)
+        gc.collect()  # so that no tuple the walk makes comes off a free list filled before tracing
+        tracemalloc.start()
+        try:
+            walk = _extensions(poset)
+            deque(islice(walk, 10**5), maxlen=0)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert next(walk)  # the walk was alive while it was measured
+        assert held < 100_000
+
 
 class TestEnumeratedOrdersMatchVerifiedOnes:
     """The orders an enumeration builds in one batch are laid out as `LinearOrder` lays out one."""
@@ -856,17 +875,22 @@ class TestCount:
     def test_ordinal_sums_of_antichains_count_the_product_of_factorials(self):
         rng = random.Random(42)
         for n in self.CLOSED_FORM_SIZES:
-            sizes = []
-            while sum(sizes) < n:
-                sizes.append(rng.randint(1, min(8, n - sum(sizes))))
-            poset = ordinal_sum([antichain(size) for size in sizes])
-            self.check_closed_form(validate(rng.sample(poset.ground, n), poset.relation), prod(map(factorial, sizes)))
+            ground, covers, want = ordinal_sum_of_antichains(rng, n, 8)
+            self.check_closed_form(validate(ground, covers, auto_close=True), want)
 
     def test_series_parallel_posets_count_by_their_decomposition(self):
         rng = random.Random(43)
         for n in self.CLOSED_FORM_SIZES:
             ground, pairs, want = series_parallel(rng, n, max_downsets=20_000)
             self.check_closed_form(validate(ground, pairs), want)
+
+    # Past the default cap: one component of up to 1,500 elements, the last a chain (parts of one
+    # element).  An ordinal sum of parts of at most three elements has fewer than 8n downsets, so
+    # the DP takes at most about 0.1 s.
+    @pytest.mark.parametrize("n, largest", [(150, 3), (300, 3), (450, 3), (600, 3), (1500, 1)])
+    def test_ordinal_sums_of_small_antichains_past_the_cap(self, n, largest):
+        ground, covers, want = ordinal_sum_of_antichains(random.Random(n), n, largest)
+        assert count_linear_extensions(validate(ground, covers, auto_close=True), cap=n) == want
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(37)
