@@ -302,28 +302,39 @@ def _linear_orders(sequences: list[tuple[str, ...]]) -> tuple[LinearOrder, ...]:
     return orders
 
 
-def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], left: list[int],
-                    starts: Iterable[int]) -> list[str]:
-    """A shortest cycle x, ..., x of masks that hold one: breadth-first search
-    from each start in turn, neighbours by position, first shortest kept.
-
-    Only the core is searched: `left`, the nodes Kahn's queue left out,
-    ascending, minus the sinks a reverse Kahn pass strips.  Every cycle lies
-    in the core, and so does every node on a path from a core node back to
-    it, so no node left out changes a search's parents or the cycle it
-    returns.  `pred` within `left` is the input's: only queued nodes' masks
-    were ORed into it.
-    """
-    core = sum(1 << i for i in left)
-    outdegree = {i: (succ[i] & core).bit_count() for i in left}
-    sinks = [i for i in left if not outdegree[i]]
+def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[list[int]], cycle: type,
+           starts: Iterable[int]) -> Poset:
+    """The poset of the reachability closure, or `cycle` raised on a shortest cycle x, ..., x found before
+    any successor mask changes.  A node joins the plain queue once its last predecessor has, so `pred[i]`
+    is closed when `i` is dequeued and ORed into its successors' there; `succ` is then closed in place back
+    along the queue's topological order; `rows` are `succ`'s, as `_masks` lists them.  When the queue stops
+    short, a breadth-first search runs from each start in turn, neighbours by position, over the core: the
+    nodes left out, minus the sinks a reverse Kahn pass strips.  Every cycle lies in the core, and so does
+    every node on a path from a core node back to it, so no node left out changes a search's parents or
+    the cycle it returns; `pred` there is the input's.  The first strictly shortest cycle is kept.  A cycle
+    whose nodes each have one successor in the core is the only cycle through them, and a later search
+    can enter them but never leave, so they leave the core: one long cycle costs one search, not one per node."""
+    order = [i for i, mask in enumerate(pred) if not mask]
+    indegree = [mask.bit_count() for mask in pred]
+    for i in order:
+        for j in rows[i]:
+            pred[j] |= pred[i]
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) == len(nodes):
+        order.reverse()
+        return _closed_poset(nodes, succ, pred, _reach(succ, order, rows))
+    core = sum(1 << i for i, d in enumerate(indegree) if d)
+    outdegree = {i: (succ[i] & core).bit_count() for i in bits(core)}
+    sinks = [i for i in outdegree if not outdegree[i]]
     for i in sinks:
         core ^= 1 << i
         for j in bits(pred[i] & core):
             outdegree[j] -= 1
             if not outdegree[j]:
                 sinks.append(j)
-    best: list[int] | None = None
+    best: list[int] = []
     for start in starts:
         if not core >> start & 1:
             continue
@@ -335,35 +346,16 @@ def _shortest_cycle(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[in
                 while node != start:
                     back.append(node)
                     node = parent[node]
-                if best is None or len(back) + 2 < len(best):
+                if not best or len(back) + 2 < len(best):
                     best = [start, *reversed(back), start]
+                if all(outdegree[i] == 1 for i in (start, *back)):
+                    core &= ~sum(1 << i for i in (start, *back))
                 break
             for nxt in bits(succ[node] & core):
                 if nxt not in parent:
                     parent[nxt] = node
                     queue.append(nxt)
-    return [nodes[i] for i in best]
-
-
-def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[list[int]], cycle: type,
-           starts: Iterable[int]) -> Poset:
-    """The poset of the reachability closure, or `cycle` raised on a shortest cycle from `starts`, found
-    before any successor mask changes.  A node joins the plain queue once its last predecessor has, so
-    `pred[i]` is closed when `i` is dequeued and ORed into its successors' there; `succ` is then closed
-    in place back along the queue's topological order; `rows` are `succ`'s, as `_masks` lists them."""
-    order = [i for i, mask in enumerate(pred) if not mask]
-    indegree = [mask.bit_count() for mask in pred]
-    for i in order:
-        for j in rows[i]:
-            pred[j] |= pred[i]
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    if len(order) < len(nodes):
-        raise cycle(_shortest_cycle(nodes, succ, pred, [i for i, d in enumerate(indegree) if d], starts))
-    order.reverse()
-    cover = _reach(succ, order, rows)
-    return _closed_poset(nodes, succ, pred, cover)
+    raise cycle([nodes[i] for i in best])
 
 
 def _closed_poset(nodes: Sequence[str], succ: Sequence[int], pred: Sequence[int], cover: Sequence[int]) -> Poset:

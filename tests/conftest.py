@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -10,6 +11,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 # tree that pyproject's `pythonpath` gives this one.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+# Every property test draws the same examples on every run and has no deadline.  `tests/mutants.py`
+# runs its tests under `replay`, which stops at the first failing example and does not shrink it: a
+# planted fault then fails in seconds, even one whose examples end in `MemoryError`.
+settings.register_profile("ordext", derandomize=True, deadline=None)
+settings.register_profile("replay", settings.get_profile("ordext"),
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+settings.load_profile("ordext")
 
 
 @pytest.fixture

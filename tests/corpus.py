@@ -282,6 +282,24 @@ def _long_relation_cases(rng: random.Random) -> dict[str, tuple]:
     return cases
 
 
+def _cycle_cases(rng: random.Random) -> dict[str, tuple]:
+    """CLI cases that name one long cycle: a cycle through 1,001 nodes under a shuffled header, and a
+    1,200-chain with one back edge, from its 900th node to its 100th, with no header.  Pairs are listed
+    in shuffled order."""
+    cycle = [f"c{k}" for k in rng.sample(range(10**6), 1001)]
+    chain = [f"v{k}" for k in rng.sample(range(10**6), 1200)]
+    files = {"cycle-1001.rel": ([(cycle[k - 1], cycle[k]) for k in range(1001)], [*rng.sample(cycle, 1001), "---"]),
+             "chain-1200-back-edge.rel": ([*zip(chain, chain[1:]), (chain[900], chain[100])], [])}
+    cases: dict[str, tuple] = {}
+    for rel, (body, header) in files.items():
+        rng.shuffle(body)
+        text = "".join(f"{line}\n" for line in [*header, *map(" < ".join, body)])
+        for variant, argv in {"linearize": ["linearize", rel], "validate-auto": ["validate", "--auto-close", rel],
+                              "closure": ["closure", rel]}.items():
+            cases[f"cli/{rel}/{variant}/human"] = (argv, {rel: text.encode()}, {})
+    return cases
+
+
 # Lines a generated relation text is made of, good and malformed.
 _LINES = [
     "a", "b", "c", " a ", "a b", "#x", "# note", "", "\t", "---", " --- ", "é",
@@ -608,7 +626,8 @@ def cases() -> dict[str, tuple]:
     """Every case by name, built from SEED alone."""
     rng = random.Random(SEED)
     return {**_cli_cases(rng), **_library_cases(rng), **_construction_cases(rng),
-            **_library_call_cases(random.Random(SEED + 1)), **_long_relation_cases(random.Random(SEED + 2))}
+            **_library_call_cases(random.Random(SEED + 1)), **_long_relation_cases(random.Random(SEED + 2)),
+            **_cycle_cases(random.Random(SEED + 3))}
 
 
 # Each library case's function, by name; the ones taking a poset, a partition, a

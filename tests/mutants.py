@@ -8,7 +8,9 @@ must catch the fault, the fault in words, and the CHANGES.md entry that
 recorded it (the start of its bold title).  Each mutant is
 planted in a temporary copy of `src/` (with `tests/` and `pyproject.toml`
 beside it, so that the tests and the CLI processes they start import the
-copy), never in the checkout, and its tests are run there by pytest.  A
+copy), never in the checkout, and its tests are run there by pytest under
+the `replay` Hypothesis profile of `conftest.py`, which does not shrink a
+failing example, so a fault fails its test once it is met.  A
 mutant is killed when that run ends with a failed test (exit status 1)
 within `TIMEOUT` seconds; one that runs longer is stopped and not killed.
 The run may map at most `MEMORY` bytes, so a fault that grows a list
@@ -190,10 +192,11 @@ MUTANTS = [
            ("tests/test_extension.py", "-k", "TestTheTableOfTailsIsBounded"),
            "the table of tails is unbounded", "Hand-kept caches and twice-kept state dropped"),
     # Library results assembled without a second verification (`TestVerifyOnce`).
-    Mutant("core.py", "    return _closed_poset(nodes, succ, pred, cover)\n",
-           "    return Poset(nodes, [(nodes[i], nodes[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
+    Mutant("core.py", "        return _closed_poset(nodes, succ, pred, _reach(succ, order, rows))\n",
+           "        _reach(succ, order, rows)\n"
+           "        return Poset(nodes, [(nodes[i], nodes[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
            ("tests/test_core.py", "-k", "TestVerifyOnce"), "`_close` builds its poset through `Poset(...)`",
-           "Tails of at most four unplaced elements"),
+           "One search names a cycle inside `_close`"),
     Mutant("core.py", "    return _closed_poset(sub, succ, pred, _reach(succ, range(len(sub)), rows))\n",
            "    return Poset(sub, [(sub[i], sub[j]) for i, row in enumerate(succ) for j in bits(row)])\n",
            ("tests/test_core.py", "-k", "TestVerifyOnce"), "`restrict` builds its poset through `Poset(...)`",
@@ -220,6 +223,17 @@ MUTANTS = [
     Mutant("core.py", "zip(repeat(x), row) for x, row", "zip(row, repeat(x)) for x, row",
            ("tests/test_core.py", "-k", "incomparable"), "each incomparable pair listed in reverse",
            "One stack for the enumeration walk"),
+    Mutant("extension.py", "            placed ^= 1 << i\n            i += 1\n", "            placed ^= 1 << i\n",
+           ("tests/test_extension.py", "-k", "TestWalkMatchesTheStepwiseWalk"),
+           "a backtrack resumes the scan at the position it popped", "One search names a cycle inside `_close`"),
+    # The cycle search inside `_close`.
+    Mutant("core.py", "if all(outdegree[i] == 1 for i in", "if any(outdegree[i] == 1 for i in",
+           ("tests/test_core.py", "-k", "TestClosure and cycle"),
+           "a found cycle leaves the core when any of its nodes has one successor",
+           "One search names a cycle inside `_close`"),
+    Mutant("core.py", "len(back) + 2 < len(best)", "len(back) + 2 <= len(best)",
+           ("tests/test_core.py", "-k", "TestClosure and cycle"), "a later cycle of equal length wins",
+           "One search names a cycle inside `_close`"),
 ]
 
 
@@ -239,7 +253,8 @@ def outcome(mutant: Mutant) -> str:
         shutil.copy(ROOT / "pyproject.toml", root)
         target = root / "src" / "ordext" / mutant.module
         target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
-        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-profile=replay",
+                *mutant.tests]
         try:
             code = subprocess.run(argv, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                                   timeout=TIMEOUT,

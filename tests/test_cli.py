@@ -928,7 +928,7 @@ class TestNoTraceback:
     def folder(self, tmp_path_factory):
         return tmp_path_factory.mktemp("fuzz")
 
-    @settings(derandomize=True, deadline=None, max_examples=800)
+    @settings(max_examples=800)
     @given(rng=st.randoms(use_true_random=True))
     def test_status_and_message(self, folder, rng):
         # A command, about as many files as it takes (mostly of their format, at times a missing

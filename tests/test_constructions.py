@@ -90,12 +90,12 @@ _MEMBERS = st.sampled_from(["a", "b", "c", "d", "", "a b", "#x", "x<y", "---", N
 class TestTypesMatchReference:
     """`Partition` and `Bijection` against the `oracles` loops, which check one token at a time."""
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(st.lists(st.lists(_MEMBERS, max_size=4), max_size=4))
     def test_partition(self, blocks):
         assert outcome(Partition, blocks) == outcome(partition_blocks_reference, blocks)
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(st.lists(st.tuples(_MEMBERS, _MEMBERS), max_size=5))
     def test_bijection(self, pairs):
         assert outcome(Bijection, pairs) == outcome(bijection_pairs_reference, pairs)
@@ -378,13 +378,13 @@ class TestIsDenseMatchesBisect:
     """Member labels read along the order decide density as bisecting sorted positions did,
     and a bad T1 or T2 raises the same class with the same token."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(dense_cases(faults=False), st.booleans())
     def test_random_cases(self, case, strict):
         order, t1, t2 = case
         assert is_dense(t1, t2, order, strict) == is_dense_by_bisect(t1, t2, order, strict)
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(dense_cases(faults=True), st.booleans())
     def test_injected_faults(self, case, strict):
         order, t1, t2 = case

@@ -10,7 +10,7 @@ from itertools import islice
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ordext import (
     CapExceeded,
@@ -269,7 +269,7 @@ class TestExtendedPosetsMatchVerifiedOnes:
     """`extend_with_pair` assembles its poset from the closed masks, not verified;
     the verifying constructor must agree with it at up to 60 elements."""
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.integers(2, 60), st.floats(0, 0.2), st.integers(0, 2**32))
     def test_extend_with_pair(self, n, density, seed):
         rng = random.Random(seed)
@@ -297,18 +297,18 @@ class TestLinearExtensionMatchesKahnOracle:
             assert order.sequence == linearize_by_kahn(poset, policy)
             assert_order_matches_verified(order)
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(st.integers(0, 60), st.floats(0, 0.3), st.integers(0, 2**32), st.integers(0, 2**64 - 1))
     def test_random_posets(self, n, density, seed, policy_seed):
         self.check(random_poset(random.Random(seed), n, density), policy_seed)
 
-    @settings(derandomize=True, deadline=None, max_examples=8)
+    @settings(max_examples=8)
     @given(st.integers(100, 300), st.integers(0, 2**64 - 1))
     def test_antichains(self, n, policy_seed):
         self.check(antichain(n), policy_seed)
 
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.integers(0, 60), st.floats(0, 0.5), st.integers(0, 2**32), st.integers(0, 2**64 - 1))
     def test_kahn_oracle_matches_the_rescan(self, n, density, seed, policy_seed):
         """The incremental oracle keeps its ready list by counting predecessors; the
@@ -343,7 +343,7 @@ class TestCoversAreTheTransitiveReduction:
         g = poset.ground
         return {(g[i], g[j]) for i, mask in enumerate(poset._cover) for j in bits(mask)}
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(st.integers(0, 25), st.floats(0, 0.5), st.integers(0, 2**32), st.floats(0, 1))
     def test_every_way_a_poset_is_built(self, n, density, seed, keep):
         rng = random.Random(seed)
@@ -367,7 +367,7 @@ class TestTransferStep:
     restricted to S is the restriction of a linear extension of P, built by forcing each
     consecutive pair of L_S that is still incomparable, then linearizing."""
 
-    @settings(derandomize=True, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.integers(0, 60), st.floats(0, 0.12), st.integers(0, 2**32), st.floats(0, 1))
     def test_extension_of_a_restriction_transfers(self, n, density, seed, keep):
         rng = random.Random(seed)
@@ -408,13 +408,13 @@ class TestWalkMatchesTheStepwiseWalk:
             poset = validate(linear_extension(poset).sequence[::-1], poset.relation)
         return poset
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.integers(0, 9), st.floats(0, 0.6), st.integers(0, 2**32), st.booleans())
     def test_random_posets(self, n, density, seed, tops_first):
         poset = self.poset(n, density, seed, tops_first)
         assert list(_extensions(poset)) == list(extensions_by_walk(poset))
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(10, 16), st.floats(0, 0.6), st.integers(0, 2**32), st.booleans())
     def test_first_orders_of_larger_posets(self, n, density, seed, tops_first):
         poset = self.poset(n, density, seed, tops_first)
@@ -486,7 +486,7 @@ class TestTheTableOfTailsIsBounded:
 class TestEnumeratedOrdersMatchVerifiedOnes:
     """The orders an enumeration builds in one batch are laid out as `LinearOrder` lays out one."""
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.integers(0, 7), st.floats(0, 0.5), st.integers(0, 2**32))
     def test_enumerate(self, n, density, seed):
         for order in enumerate_linear_extensions(random_poset(random.Random(seed), n, density)):
@@ -813,12 +813,12 @@ class TestCount:
         # 2^60 downsets of the whole ground; 60 one-element components.
         assert count_linear_extensions(antichain(60), cap=60) == factorial(60)
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(composed_posets(max_size=14))
     def test_composed_posets_match_the_whole_ground_dp(self, poset):
         assert count_linear_extensions(poset) == count_by_downsets(poset)
 
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(composed_posets(max_size=8))
     def test_composed_posets_match_both_enumerations(self, poset):
         got = count_linear_extensions(poset)
@@ -988,8 +988,12 @@ class TestIntegerReader:
     """`_integer` reads what `int` reads with no digit cap, and refuses what it refuses, under
     the default cap and the least one."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(numeric_texts())
+    @example("-" + "8" * 1301)  # a negative high half, one digit shorter than the low one
+    @example(" -" + "9" * 1300)  # a sign after whitespace
+    @example("7" * 700 + "_" + "3" * 700)  # a `_` just before the middle digit, where the cut falls
+    @example("7" * 700 + " " + "3" * 700)  # a space there, which `int` refuses
     def test_matches_int_without_a_cap(self, text):
         with digit_cap(0):
             want = int_or_error(int, text)

@@ -284,7 +284,7 @@ class TestReadersMatchReference:
     texts = _joined(_LINES)
     mappings = _joined(_MAPPINGS)
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(texts)
     def test_relation(self, text):
         assert outcome(parse_relation, text, "f.txt") == outcome(parse_relation_reference, text, "f.txt")
@@ -307,17 +307,17 @@ class TestReadersMatchReference:
         for text in texts:
             assert outcome(parse_relation, text, "f.txt") == outcome(parse_relation_reference, text, "f.txt")
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(texts)
     def test_partition(self, text):
         assert outcome(parse_partition, text, "f.txt") == outcome(parse_partition_reference, text, "f.txt")
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(texts)
     def test_sequence(self, text):
         assert outcome(parse_sequence, text, "f.txt") == outcome(parse_sequence_reference, text, "f.txt")
 
-    @settings(derandomize=True, deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(mappings)
     def test_bijection(self, text):
         assert outcome(parse_bijection, text, "f.txt") == outcome(parse_bijection_reference, text, "f.txt")

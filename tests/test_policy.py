@@ -223,7 +223,7 @@ class TestOneStream:
     """Draws, picks and arrangements on one breaker spend one stream in call order,
     at sizes that cross the refill sizes and _BLOCK, however the calls are mixed."""
 
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(
         st.integers(0, 2**64 - 1),
         st.lists(st.tuples(st.sampled_from(["draws", "pick", "arrange"]),
