@@ -14,16 +14,18 @@ and rejects the least stray after reading them all.  One reach pass,
 masks and covers alike: `_close` closes `pred` inside its plain Kahn
 queue, then runs the pass back along the queue's order, or, when the queue
 stops short, raises its caller's error class with a shortest cycle as
-witness before any successor mask changes; `Poset` runs it over a copy of
-the masks it verifies, which are closed and antisymmetric exactly when the
-pass changes none, and `restrict` over the kept masks.  Closing and
-linearizing keep separate loops: `extension.linear_extension` ranks its
-frontier, which closing has no use for.  The public constructors verify
-everything they are given; results correct by construction are assembled
-by `_closed_poset` and `_linear_orders` (one order or a batch) without a
-second check.  Tokens are checked as one batch by `_valid_tokens` and
-walked one by one only to name a witness.  All values are immutable after
-construction and every operation is a pure function of its inputs.
+witness before any successor mask changes: its search drops each searched
+start, and each node then left with no successor or no predecessor, which
+keeps the witness; `Poset` runs it over a copy of the masks it verifies,
+which are closed and antisymmetric exactly when the pass changes none, and
+`restrict` over the kept masks.  Closing and linearizing keep separate
+loops: `extension.linear_extension` ranks its frontier, which closing has
+no use for.  The public constructors verify everything they are given;
+results correct by construction are assembled by `_closed_poset` and
+`_linear_orders` (one order or a batch) without a second check.  Tokens
+are checked as one batch by `_valid_tokens` and walked one by one only to
+name a witness.  All values are immutable after construction and every
+operation is a pure function of its inputs.
 """
 
 from collections import deque
@@ -308,12 +310,12 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[li
     any successor mask changes.  A node joins the plain queue once its last predecessor has, so `pred[i]`
     is closed when `i` is dequeued and ORed into its successors' there; `succ` is then closed in place back
     along the queue's topological order; `rows` are `succ`'s, as `_masks` lists them.  When the queue stops
-    short, a breadth-first search runs from each start in turn, neighbours by position, over the core: the
-    nodes left out, minus the sinks a reverse Kahn pass strips.  Every cycle lies in the core, and so does
-    every node on a path from a core node back to it, so no node left out changes a search's parents or
-    the cycle it returns; `pred` there is the input's.  The first strictly shortest cycle is kept.  A cycle
-    whose nodes each have one successor in the core is the only cycle through them, and a later search
-    can enter them but never leave, so they leave the core: one long cycle costs one search, not one per node."""
+    short, a breadth-first search runs from each start in turn, neighbours by position, over the core, the
+    nodes left out (`pred` is still the input's there), and keeps the first strictly shortest cycle.  A
+    searched start leaves the core, and so does every node left with no successor or no predecessor in it,
+    sinks first.  Starts before the first on a shortest cycle lie on none, so no node of one leaves before
+    that start's search, and a shortest path from it to a node of a shortest cycle through it runs along
+    one: no node left out is a parent there or the first found with an edge back, so the witness holds."""
     order = [i for i, mask in enumerate(pred) if not mask]
     indegree = [mask.bit_count() for mask in pred]
     for i in order:
@@ -326,16 +328,14 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[li
         order.reverse()
         return _closed_poset(nodes, succ, pred, _reach(succ, order, rows))
     core = sum(1 << i for i, d in enumerate(indegree) if d)
-    outdegree = {i: (succ[i] & core).bit_count() for i in bits(core)}
-    sinks = [i for i in outdegree if not outdegree[i]]
-    for i in sinks:
-        core ^= 1 << i
-        for j in bits(pred[i] & core):
-            outdegree[j] -= 1
-            if not outdegree[j]:
-                sinks.append(j)
+    leaving = [i for i in bits(core) if not succ[i] & core]  # its sinks: the queue left the core no source
     best: list[int] = []
     for start in starts:
+        while leaving:
+            i = leaving.pop()
+            if core >> i & 1:
+                core ^= 1 << i
+                leaving += [j for j in bits((succ[i] | pred[i]) & core) if not succ[j] & core or not pred[j] & core]
         if not core >> start & 1:
             continue
         parent = {start: start}
@@ -348,13 +348,12 @@ def _close(nodes: Sequence[str], succ: list[int], pred: list[int], rows: list[li
                     node = parent[node]
                 if not best or len(back) + 2 < len(best):
                     best = [start, *reversed(back), start]
-                if all(outdegree[i] == 1 for i in (start, *back)):
-                    core &= ~sum(1 << i for i in (start, *back))
                 break
             for nxt in bits(succ[node] & core):
                 if nxt not in parent:
                     parent[nxt] = node
                     queue.append(nxt)
+        leaving.append(start)
     raise cycle([nodes[i] for i in best])
 
 

@@ -290,6 +290,43 @@ def _cycle_cases(rng: random.Random) -> dict[str, tuple]:
     chain = [f"v{k}" for k in rng.sample(range(10**6), 1200)]
     files = {"cycle-1001.rel": ([(cycle[k - 1], cycle[k]) for k in range(1001)], [*rng.sample(cycle, 1001), "---"]),
              "chain-1200-back-edge.rel": ([*zip(chain, chain[1:]), (chain[900], chain[100])], [])}
+    return _relation_cases(rng, files)
+
+
+def _shape_cases(rng: random.Random) -> dict[str, tuple]:
+    """CLI cases that name the shortest of several cycles, each file under a shuffled header: a cycle
+    through 1,001 nodes with one chord and with 21, a hub on 30 cycles of 21-50 nodes through it, and
+    two cycles a and b of 600 nodes joined by a_i < b_i, with and without a path of three nodes out of
+    each b_i.  Each chord a < b skips at least one node, so it closes a shorter cycle."""
+    names = iter(f"s{k}" for k in rng.sample(range(10**6), 7238))  # 2 * 1,001 + 1 + 1,035 + 2 * 1,200 + 1,800
+    files = {}
+    for chords in (1, 21):
+        cycle = [next(names) for _ in range(1001)]
+        body = [(cycle[k - 1], cycle[k]) for k in range(1001)]
+        for a in (rng.randrange(1001) for _ in range(chords)):
+            body.append((cycle[a], cycle[(a + rng.randint(2, 1000)) % 1001]))
+        files[f"cycle-1001-{chords}-chords.rel"] = body
+    hub, body = next(names), []
+    for length in rng.sample(range(20, 50), 30):
+        petal = [hub, *(next(names) for _ in range(length))]
+        body += zip(petal, [*petal[1:], hub])
+    files["hub-30-petals.rel"] = body
+    for tails in (0, 3):
+        a, b = [next(names) for _ in range(600)], [next(names) for _ in range(600)]
+        body = [*zip(a, a[1:] + a[:1]), *zip(b, b[1:] + b[:1]), *zip(a, b)]
+        for end in b:
+            path = [end, *(next(names) for _ in range(tails))]
+            body += zip(path, path[1:])
+        files[f"joined-600-tails-{tails}.rel"] = body
+    for rel, body in files.items():
+        nodes = [*dict.fromkeys(tok for pair in body for tok in pair)]
+        files[rel] = body, [*rng.sample(nodes, len(nodes)), "---"]
+    return _relation_cases(rng, files)
+
+
+def _relation_cases(rng: random.Random, files: dict[str, tuple]) -> dict[str, tuple]:
+    """A `linearize`, a `validate --auto-close` and a `closure` case for each relation file, given by
+    name as its pairs, listed in shuffled order, and its header lines."""
     cases: dict[str, tuple] = {}
     for rel, (body, header) in files.items():
         rng.shuffle(body)
@@ -627,7 +664,7 @@ def cases() -> dict[str, tuple]:
     rng = random.Random(SEED)
     return {**_cli_cases(rng), **_library_cases(rng), **_construction_cases(rng),
             **_library_call_cases(random.Random(SEED + 1)), **_long_relation_cases(random.Random(SEED + 2)),
-            **_cycle_cases(random.Random(SEED + 3))}
+            **_cycle_cases(random.Random(SEED + 3)), **_shape_cases(random.Random(SEED + 4))}
 
 
 # Each library case's function, by name; the ones taking a poset, a partition, a

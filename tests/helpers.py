@@ -73,6 +73,51 @@ def scale_input(rng: random.Random, family: str, n: int):
     return ground, pairs, set(covers)
 
 
+def chorded_cycle(rng: random.Random, n: int, chords: int):
+    """Edges of one cycle through positions 0, ..., n - 1 plus `chords` chords across it, and cycles,
+    each a list of positions along it: the long one, and for each chord the shorter one it closes,
+    which with one chord are all its cycles."""
+    edges, cycles = [((k - 1) % n, k) for k in range(n)], [[*range(n)]]
+    for _ in range(chords):
+        a = rng.randrange(n)
+        b = (a + rng.randint(2, n - 1)) % n  # neither a nor the next position: a chord, no edge of the cycle
+        edges.append((a, b))
+        cycles.append([(b + k) % n for k in range((a - b) % n + 1)])
+    return edges, cycles
+
+
+def petal_hub(lengths: list[int]):
+    """Edges of one cycle through position 0 and `length` other positions for each of `lengths`,
+    and those cycles, which are all its cycles."""
+    edges, cycles, n = [], [], 1
+    for length in lengths:
+        cycles.append([0, *range(n, n + length)])
+        edges += zip(cycles[-1], [*cycles[-1][1:], 0])
+        n += length
+    return edges, cycles
+
+
+def joined_cycles(m: int, tails: int):
+    """Edges of two cycles a = 0, ..., m - 1 and b = m, ..., 2m - 1, joined by a_i -> b_i, with a path
+    of `tails` further positions out of each b_i, and the two cycles, which are all its cycles."""
+    a, b = [*range(m)], [*range(m, 2 * m)]
+    edges = [*zip(a, a[1:] + a[:1]), *zip(b, b[1:] + b[:1]), *zip(a, b)]
+    for k, j in enumerate(b):
+        path = [j, *range(2 * m + k * tails, 2 * m + (k + 1) * tails)]
+        edges += zip(path, path[1:])
+    return edges, [a, b]
+
+
+def named_digraph(rng: random.Random, edges: list[tuple[int, int]]):
+    """Random names for the positions of `edges`: the names by position, a shuffled ground of
+    them, and the named pairs in random order."""
+    n = 1 + max(map(max, edges))
+    names = [f"v{k}" for k in rng.sample(range(10**6), n)]
+    pairs = [(names[i], names[j]) for i, j in edges]
+    rng.shuffle(pairs)
+    return names, rng.sample(names, n), pairs
+
+
 def ordinal_sum_of_antichains(rng: random.Random, n: int, largest: int):
     """An ordinal sum of antichains of 1 to `largest` elements, n elements in all: its shuffled
     ground, the covers from each part to the next, and its count, the product of the parts'

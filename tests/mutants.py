@@ -226,11 +226,26 @@ MUTANTS = [
     Mutant("extension.py", "            placed ^= 1 << i\n            i += 1\n", "            placed ^= 1 << i\n",
            ("tests/test_extension.py", "-k", "TestWalkMatchesTheStepwiseWalk"),
            "a backtrack resumes the scan at the position it popped", "One search names a cycle inside `_close`"),
+    # `LinearOrder.contains` is strict.
+    Mutant("core.py", "self.position(x) < self.position(y) for x, y in pairs",
+           "self.position(x) <= self.position(y) for x, y in pairs",
+           ("tests/test_core.py", "-k", "test_contains"), "an order contains a reflexive pair",
+           "One rule names a cycle"),
     # The cycle search inside `_close`.
-    Mutant("core.py", "if all(outdegree[i] == 1 for i in", "if any(outdegree[i] == 1 for i in",
-           ("tests/test_core.py", "-k", "TestClosure and cycle"),
-           "a found cycle leaves the core when any of its nodes has one successor",
-           "One search names a cycle inside `_close`"),
+    Mutant("core.py", "        leaving.append(start)\n", "",
+           ("tests/test_core.py", "-k", "TestCycleSearchWork"), "a searched start stays in the core",
+           "One rule names a cycle"),
+    Mutant("core.py", "core ^= 1 << i", "core |= 1 << i",
+           ("tests/test_core.py", "-k", "TestCycleSearchWork"), "no node leaves the core", "One rule names a cycle"),
+    Mutant("core.py", "or not pred[j] & core", "or pred[j] & core",
+           ("tests/test_core.py", "-k", "TestLongCycles"), "a node with a predecessor in the core leaves it",
+           "One rule names a cycle"),
+    Mutant("core.py", "(succ[i] | pred[i])", "succ[i]",
+           ("tests/test_core.py", "-k", "TestCycleSearchWork"),
+           "only a leaving node's successors are tested for leaving", "One rule names a cycle"),
+    Mutant("core.py", "if not succ[j] & core or not", "if not succ[j] & core and not",
+           ("tests/test_core.py", "-k", "TestCycleSearchWork"),
+           "a node leaves only with no successor and no predecessor in the core", "One rule names a cycle"),
     Mutant("core.py", "len(back) + 2 < len(best)", "len(back) + 2 <= len(best)",
            ("tests/test_core.py", "-k", "TestClosure and cycle"), "a later cycle of equal length wins",
            "One search names a cycle inside `_close`"),

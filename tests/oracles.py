@@ -24,8 +24,10 @@ the `Partition` and `Bijection` constructors by checking one token at a
 time instead of one batch, the shortest-cycle witness of an acyclic
 relation plus one back edge by distances from the edge's two ends and
 a greedy walk instead of a breadth-first search from each start, the
-shortest cycle of any digraph by searching every node instead of its
-cyclic core alone, the front end for raw pairs by collecting every
+witness of a digraph whose cycles are known by construction by reading
+its shortest cycle off that list, the shortest cycle of any digraph by
+searching every node instead of its cyclic core alone, the front end for
+raw pairs by collecting every
 stray pair and rejecting the least in a second function (`core._masks`
 and `core._reject` before `_masks` rejected its own strays), and
 the eight record classes by frozen dataclasses instead of one
@@ -269,6 +271,18 @@ def back_edge_cycle(nodes, pairs, back) -> tuple[str, ...]:
     for left in range(length - 1, -1, -1):
         cycle.append(min((w for w in succ[cycle[-1]] if to_start.get(w) == left), key=position.__getitem__))
     return tuple(cycle)
+
+
+def least_cycle_witness(cycles, starts) -> tuple[str, ...]:
+    """The shortest cycle a closure names when `cycles`, each a list of nodes along it, are all the
+    cycles of its input and no node lies on two of the shortest: the first start on a shortest cycle
+    lies on no other cycle that short, so the search from it finds that cycle, read from the start."""
+    length = min(map(len, cycles))
+    shortest = [cycle for cycle in cycles if len(cycle) == length]
+    start = next(s for s in starts if any(s in cycle for cycle in shortest))
+    (cycle,) = [cycle for cycle in shortest if start in cycle]
+    k = cycle.index(start)
+    return (*cycle[k:], *cycle[: k + 1])
 
 
 def transitive_reduction(poset: Poset) -> set[tuple[str, str]]:

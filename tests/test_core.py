@@ -40,7 +40,20 @@ from ordext import (
 from ordext.cli import main
 from ordext.core import _close, _closure, _linear_orders, _masks, _valid_tokens, bits
 
-from helpers import antichain, assert_matches_verified, chain, diamond, outcome, random_pairs, random_poset, scale_input
+from helpers import (
+    antichain,
+    assert_matches_verified,
+    chain,
+    chorded_cycle,
+    diamond,
+    joined_cycles,
+    named_digraph,
+    outcome,
+    petal_hub,
+    random_pairs,
+    random_poset,
+    scale_input,
+)
 from oracles import (
     back_edge_cycle,
     check_ground_reference,
@@ -48,6 +61,7 @@ from oracles import (
     first_two_cycle,
     first_unclosed_triple,
     incomparable_by_double_loop,
+    least_cycle_witness,
     shortest_cycle_by_search,
     stray_error,
     strict_order_axioms_hold,
@@ -661,6 +675,7 @@ class TestOrderFromEnumeration:
         order = order_from_enumeration(("a", "b", "c"))
         assert order.contains([("a", "c"), ("b", "c")])
         assert not order.contains([("c", "a")])
+        assert not order.contains([("a", "a")])  # strict: no element precedes itself
 
 
 class TestComparability:
@@ -816,10 +831,23 @@ class TestScaleTier:
         assert closing.value.cycle == validating.value.cycle == cycle
 
 
+# Long cyclic shapes, each built from a seeded `random.Random`: its edges by position and all its cycles.
+LONG_SHAPES = {
+    "chord-1001": lambda rng: chorded_cycle(rng, 1001, 1),
+    "chord-3000": lambda rng: chorded_cycle(rng, 3000, 1),
+    "hub": lambda rng: petal_hub(rng.sample(range(20, 50), 30)),
+    "joined": lambda rng: joined_cycles(600, 0),
+    "tails": lambda rng: joined_cycles(600, 3),
+    "one-way": lambda rng: chorded_cycle(rng, 1001, 0),
+}
+
+
 class TestLongCycles:
-    """One long cycle named at 300-3,000 nodes through `validate(auto_close=True)`, `transitive_closure`
-    and `ordext linearize`, which exits 1 naming it: single cycles, and chains of 600 and 1,200 with one
-    back edge.  Every node of such a cycle has one successor in the core, so one search names it."""
+    """Long cycles named at 300-3,000 nodes through `validate(auto_close=True)`, `transitive_closure` and
+    `ordext linearize`, which exits 1 naming the shortest: single cycles, chains of 600 and 1,200 with one
+    back edge, long cycles with chords, hubs of petals, and two cycles joined a_i -> b_i.  A searched
+    start leaves the core, and so does every node then left with no successor or no predecessor there,
+    so each shape is named in a few searches."""
 
     @staticmethod
     def assert_named(ground, pairs, cycle, tmp_path, capsys):
@@ -854,6 +882,71 @@ class TestLongCycles:
         pairs.append(back)
         rng.shuffle(pairs)
         self.assert_named(ground, pairs, cycle, tmp_path, capsys)
+
+    @pytest.mark.parametrize("shape", ["chord-1001", "chord-3000", "hub", "joined", "tails"])
+    def test_shortest_of_several_cycles(self, shape, tmp_path, capsys):
+        # All cycles of each shape are known, and no node lies on two of the shortest: one chord closes
+        # a shorter cycle, the 30 petals have distinct lengths, and the two joined cycles share no node.
+        rng = random.Random(shape)
+        edges, cycles = LONG_SHAPES[shape](rng)
+        names, ground, pairs = named_digraph(rng, edges)
+        cycle = least_cycle_witness([[names[i] for i in c] for c in cycles], ground)
+        self.assert_named(ground, pairs, cycle, tmp_path, capsys)
+
+    @pytest.mark.parametrize("shape", ["chords", "hub", "joined", "tails"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_small_shapes_match_a_search_of_every_node(self, shape, seed, tmp_path, capsys):
+        # The same shapes at sizes the oracle searches in well under a second, with what makes their
+        # witness harder to read off: several chords, petals of equal length through the hub, and a
+        # pair b_j -> a_k back across the joined cycles, which closes cycles through both.
+        rng = random.Random(seed)
+        edges, _ = {
+            "chords": lambda: chorded_cycle(rng, 200, rng.randint(1, 4)),
+            "hub": lambda: petal_hub(rng.choices(range(2, 30), k=10)),
+            "joined": lambda: joined_cycles(60, 0),
+            "tails": lambda: joined_cycles(60, 3),
+        }[shape]()
+        if shape in ("joined", "tails"):
+            edges.append((rng.randrange(60, 120), rng.randrange(60)))
+        names, ground, pairs = named_digraph(rng, edges)
+        index = {tok: i for i, tok in enumerate(ground)}
+        succ = [0] * len(ground)
+        for x, y in pairs:
+            succ[index[x]] |= 1 << index[y]
+        cycle = tuple(shortest_cycle_by_search(ground, succ, range(len(ground))))
+        self.assert_named(ground, pairs, cycle, tmp_path, capsys)
+
+
+class TestCycleSearchWork:
+    """Naming a cycle reads each node's successor mask a bounded number of times, counted without a
+    clock: a searched start leaves the core, and so does every node then left with no successor or no
+    predecessor there, so no long cycle is searched again from each of its nodes."""
+
+    class Reads(list):
+        """A list that counts its item reads."""
+
+        count = 0
+
+        def __getitem__(self, i):
+            self.count += 1
+            return super().__getitem__(i)
+
+    @pytest.mark.parametrize("shape", ["chord-1001", "hub", "joined", "one-way", "b-first"])
+    def test_reads_per_node(self, shape):
+        # Shuffled grounds, but for "b-first", the joined cycles with b listed along its cycle, then a.
+        # Once the search from b_0 takes it out, b's last node has no successor in the core, so b leaves
+        # back along itself.  A strip that looks only at a leaving node's successors, or that needs a
+        # node to lose both ends, keeps b, and each later b_j is searched along the rest of it.
+        rng = random.Random(shape)
+        edges, _ = LONG_SHAPES["joined" if shape == "b-first" else shape](rng)
+        names, ground, pairs = named_digraph(rng, edges)
+        if shape == "b-first":
+            ground = names[600:] + names[:600]
+        succ, pred, rows = _masks(pairs, {tok: i for i, tok in enumerate(ground)})
+        reads = self.Reads(succ)
+        with pytest.raises(AntisymmetryViolation):
+            _close(ground, reads, pred, rows, AntisymmetryViolation, range(len(ground)))
+        assert reads.count <= 50 * len(ground)
 
 
 class TestClosedPosetsMatchVerifiedOnes:
